@@ -69,10 +69,13 @@ class JsonReport {
       : path_(std::move(path)), suite_(std::move(suite)) {}
 
   // `real_time_ns` is the (simulated or measured) duration backing the rate;
-  // `items_per_second` is the headline series value for the figure.
+  // `items_per_second` is the headline series value for the figure. Pass
+  // lower_is_better for values such as latencies, byte counts and overhead
+  // ratios: the entry then carries "better": "lower" and lobench-diff
+  // inverts its ratio, so a rise reads as a regression.
   void add(const std::string& name, double real_time_ns,
-           double items_per_second) {
-    entries_.push_back({name, real_time_ns, items_per_second});
+           double items_per_second, bool lower_is_better = false) {
+    entries_.push_back({name, real_time_ns, items_per_second, lower_is_better});
   }
 
   // Writes the file; returns false (and prints to stderr) on I/O failure so
@@ -97,10 +100,11 @@ class JsonReport {
                    "      \"real_time\": %.6g,\n"
                    "      \"cpu_time\": %.6g,\n"
                    "      \"time_unit\": \"ns\",\n"
-                   "      \"items_per_second\": %.6g\n"
+                   "      \"items_per_second\": %.6g%s\n"
                    "    }%s\n",
                    e.name.c_str(), e.name.c_str(), e.real_time_ns,
                    e.real_time_ns, e.items_per_second,
+                   e.lower_is_better ? ",\n      \"better\": \"lower\"" : "",
                    i + 1 < entries_.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
@@ -113,6 +117,7 @@ class JsonReport {
     std::string name;
     double real_time_ns;
     double items_per_second;
+    bool lower_is_better;
   };
   std::string path_;
   std::string suite_;

@@ -1,4 +1,6 @@
-// Crypto micro-benchmarks: SHA-256/512 throughput and Ed25519 operations.
+// Crypto micro-benchmarks: SHA-256/512 throughput (SHA-256 on the kernel
+// Sha256 picks and, as BM_Sha256Portable, on the portable one) and Ed25519
+// operations.
 // Supporting measurements — the paper's protocol signs every commitment and
 // block, so these bound the non-simulated CPU cost per protocol message.
 //
@@ -16,7 +18,9 @@
 // an artifact so verify-throughput regressions show up in the history.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -48,6 +52,39 @@ void BM_Sha256(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(250)->Arg(4096)->Arg(65536);
+
+// SHA-256 on the portable compression kernel, padding included: what
+// BM_Sha256 costs on a CPU without SHA-NI. The "sha256_kernel" context entry
+// of BENCH_crypto.json names the kernel BM_Sha256 ran.
+std::array<std::uint32_t, 8> sha256_portable(const std::vector<std::uint8_t>& m) {
+  std::array<std::uint32_t, 8> state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                        0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                        0x1f83d9ab, 0x5be0cd19};
+  const std::size_t full = m.size() / 64;
+  detail::sha256_compress_portable(state.data(), m.data(), full);
+  std::uint8_t tail[128] = {};
+  const std::size_t rest = m.size() - 64 * full;
+  if (rest > 0) std::memcpy(tail, m.data() + 64 * full, rest);
+  tail[rest] = 0x80;
+  const std::size_t blocks = rest < 56 ? 1 : 2;
+  const std::uint64_t bits = 8 * static_cast<std::uint64_t>(m.size());
+  for (std::size_t i = 0; i < 8; ++i) {
+    tail[64 * blocks - 1 - i] = static_cast<std::uint8_t>(bits >> (8 * i));
+  }
+  detail::sha256_compress_portable(state.data(), tail, blocks);
+  return state;
+}
+
+void BM_Sha256Portable(benchmark::State& state) {
+  const auto data = random_bytes(static_cast<std::size_t>(state.range(0)), 1);
+  for (auto _ : state) {
+    auto d = sha256_portable(data);
+    benchmark::DoNotOptimize(d);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Sha256Portable)->Arg(64)->Arg(250)->Arg(4096);
 
 void BM_Sha512(benchmark::State& state) {
   const auto data = random_bytes(static_cast<std::size_t>(state.range(0)), 2);
@@ -203,6 +240,7 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext("bench_suite", "lo-crypto");
   benchmark::AddCustomContext("verify_before", "BM_Ed25519VerifyReference");
   benchmark::AddCustomContext("verify_after", "BM_Ed25519Verify");
+  benchmark::AddCustomContext("sha256_kernel", detail::sha256_kernel_name());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

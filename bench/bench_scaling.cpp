@@ -304,9 +304,9 @@ bool run_reconcile_series(lo::bench::JsonReport& report) {
                 static_cast<unsigned long long>(ad_st.bytes));
     const std::string tag = "/diff" + std::to_string(diff);
     report.add("reconcile/fixed_bytes" + tag, 0.0,
-               static_cast<double>(fixed_st.bytes));
+               static_cast<double>(fixed_st.bytes), /*lower_is_better=*/true);
     report.add("reconcile/adaptive_bytes" + tag, 0.0,
-               static_cast<double>(ad_st.bytes));
+               static_cast<double>(ad_st.bytes), /*lower_is_better=*/true);
   }
   return true;
 }
@@ -365,7 +365,8 @@ int main(int argc, char** argv) {
              static_cast<double>(off.txs) / off.wall_s);
   report.add("obs/traced", on.wall_s * 1e9,
              static_cast<double>(on.trace_events) / on.wall_s);
-  report.add("obs/overhead_ratio", on.wall_s * 1e9, ratio);
+  report.add("obs/overhead_ratio", on.wall_s * 1e9, ratio,
+             /*lower_is_better=*/true);
   if (!report.write()) return 1;
 
   // ---- membership under churn + adaptive reconciliation ----
@@ -385,11 +386,11 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(row.confirms));
     const std::string tag = "/gap" + std::to_string(static_cast<int>(gap_s));
     mreport.add("membership/detect_latency_s" + tag, mem_seconds * 1e9,
-                row.detect_mean_s);
+                row.detect_mean_s, /*lower_is_better=*/true);
     mreport.add("membership/detect_latency_max_s" + tag, mem_seconds * 1e9,
-                row.detect_max_s);
+                row.detect_max_s, /*lower_is_better=*/true);
     mreport.add("membership/swim_bytes_per_node_s" + tag, mem_seconds * 1e9,
-                row.swim_bytes_per_node_s);
+                row.swim_bytes_per_node_s, /*lower_is_better=*/true);
     mreport.add("membership/confirms" + tag, mem_seconds * 1e9,
                 static_cast<double>(row.confirms));
   }

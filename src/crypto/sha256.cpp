@@ -2,6 +2,10 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace lo::crypto {
 
 namespace {
@@ -38,47 +42,137 @@ void Sha256::reset() noexcept {
   buf_len_ = 0;
 }
 
-void Sha256::compress(const std::uint8_t* block) noexcept {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
+namespace detail {
+
+void sha256_compress_portable(std::uint32_t state[8], const std::uint8_t* data,
+                              std::size_t blocks) noexcept {
+  for (; blocks > 0; --blocks, data += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(data[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(data[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(data[4 * i + 2]) << 8) |
+             static_cast<std::uint32_t>(data[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t t1 = h + s1 + ch + kK[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
   }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+}
+
+#if defined(__x86_64__)
+// The SHA extensions keep the state as two lanes, ABEF and CDGH, and run two
+// rounds per sha256rnds2. Each of the 16 steps below does four rounds on
+// w[4r..4r+3] + k[4r..4r+3]; from step 4 on, msg1/msg2 extend the message
+// schedule in the ring m[] (m[r & 3] holds w[4r..4r+3]).
+__attribute__((target("sha,sse4.1,ssse3"))) void sha256_compress_shani(
+    std::uint32_t state[8], const std::uint8_t* data,
+    std::size_t blocks) noexcept {
+  const __m128i kByteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  __m128i tmp = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);  // CDAB
+  __m128i cdgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)),
+      0x1B);                                     // EFGH
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);  // ABEF
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);       // CDGH
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i m[4];
+    for (int j = 0; j < 4; ++j) {
+      m[j] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * j)),
+          kByteSwap);
+    }
+#pragma GCC unroll 16
+    for (int r = 0; r < 16; ++r) {
+      if (r >= 4) {
+        // w[t..t+3] from w[t-16..t-13], w[t-12..], w[t-8..] and w[t-4..].
+        __m128i t = _mm_sha256msg1_epu32(m[r & 3], m[(r + 1) & 3]);
+        t = _mm_add_epi32(t, _mm_alignr_epi8(m[(r + 3) & 3], m[(r + 2) & 3], 4));
+        m[r & 3] = _mm_sha256msg2_epu32(t, m[(r + 3) & 3]);
+      }
+      __m128i wk = _mm_add_epi32(
+          m[r & 3], _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * r)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      wk = _mm_shuffle_epi32(wk, 0x0E);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
   }
 
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  std::uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + s1 + ch + kK[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
-  h_[5] += f;
-  h_[6] += g;
-  h_[7] += h;
+  tmp = _mm_shuffle_epi32(abef, 0x1B);        // FEBA
+  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);       // DCHG
+  abef = _mm_blend_epi16(tmp, cdgh, 0xF0);    // DCBA
+  cdgh = _mm_alignr_epi8(cdgh, tmp, 8);       // HGFE
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), abef);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), cdgh);
 }
+
+bool sha256_shani_available() noexcept {
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1") &&
+         __builtin_cpu_supports("ssse3");
+}
+#else
+void sha256_compress_shani(std::uint32_t state[8], const std::uint8_t* data,
+                           std::size_t blocks) noexcept {
+  sha256_compress_portable(state, data, blocks);
+}
+
+bool sha256_shani_available() noexcept { return false; }
+#endif
+
+const char* sha256_kernel_name() noexcept {
+  return sha256_shani_available() ? "sha-ni" : "portable";
+}
+
+}  // namespace detail
+
+namespace {
+
+// The kernel is chosen once per process, on first use.
+void compress(std::uint32_t state[8], const std::uint8_t* data,
+              std::size_t blocks) noexcept {
+  static const auto kernel = detail::sha256_shani_available()
+                                 ? &detail::sha256_compress_shani
+                                 : &detail::sha256_compress_portable;
+  kernel(state, data, blocks);
+}
+
+}  // namespace
 
 Sha256& Sha256::update(std::span<const std::uint8_t> data) noexcept {
   if (data.empty()) return *this;  // empty span may carry a null data()
@@ -91,13 +185,13 @@ Sha256& Sha256::update(std::span<const std::uint8_t> data) noexcept {
     buf_len_ += take;
     off += take;
     if (buf_len_ == 64) {
-      compress(buf_);
+      compress(h_, buf_, 1);
       buf_len_ = 0;
     }
   }
-  while (off + 64 <= data.size()) {
-    compress(data.data() + off);
-    off += 64;
+  if (const std::size_t blocks = (data.size() - off) / 64; blocks > 0) {
+    compress(h_, data.data() + off, blocks);
+    off += 64 * blocks;
   }
   if (off < data.size()) {
     std::memcpy(buf_, data.data() + off, data.size() - off);
@@ -107,16 +201,20 @@ Sha256& Sha256::update(std::span<const std::uint8_t> data) noexcept {
 }
 
 Digest256 Sha256::finalize() noexcept {
+  // Padding: 0x80, zeros up to byte 56 of a block, then the 64-bit
+  // big-endian bit count. buf_len_ < 64 always holds here.
   const std::uint64_t bit_len = length_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(std::span<const std::uint8_t>(&pad, 1));
-  const std::uint8_t zero = 0x00;
-  while (buf_len_ != 56) update(std::span<const std::uint8_t>(&zero, 1));
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > 56) {
+    std::memset(buf_ + buf_len_, 0, 64 - buf_len_);
+    compress(h_, buf_, 1);
+    buf_len_ = 0;
   }
-  update(std::span<const std::uint8_t>(len_be, 8));
+  std::memset(buf_ + buf_len_, 0, 56 - buf_len_);
+  for (int i = 0; i < 8; ++i) {
+    buf_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  compress(h_, buf_, 1);
 
   Digest256 out;
   for (int i = 0; i < 8; ++i) {

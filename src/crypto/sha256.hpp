@@ -29,8 +29,6 @@ class Sha256 {
   Digest256 finalize() noexcept;
 
  private:
-  void compress(const std::uint8_t* block) noexcept;
-
   std::uint32_t h_[8];
   std::uint64_t length_ = 0;       // total bytes absorbed
   std::uint8_t buf_[64];
@@ -39,5 +37,22 @@ class Sha256 {
 
 Digest256 sha256(std::span<const std::uint8_t> data) noexcept;
 Digest256 sha256(std::string_view s) noexcept;
+
+// The compression kernels behind Sha256, declared so tests and benchmarks can
+// run each one directly. Sha256 picks one per process: the SHA-NI kernel when
+// the CPU has it, else the portable one; both give identical results.
+namespace detail {
+
+// Absorbs `blocks` consecutive 64-byte blocks into the eight-word state.
+void sha256_compress_portable(std::uint32_t state[8], const std::uint8_t* data,
+                              std::size_t blocks) noexcept;
+// x86-64 SHA extensions. Call only when sha256_shani_available().
+void sha256_compress_shani(std::uint32_t state[8], const std::uint8_t* data,
+                           std::size_t blocks) noexcept;
+bool sha256_shani_available() noexcept;
+// "sha-ni" or "portable": the kernel Sha256 runs in this process.
+const char* sha256_kernel_name() noexcept;
+
+}  // namespace detail
 
 }  // namespace lo::crypto

@@ -52,11 +52,22 @@ void poly_sqr_into(const Field& f, const Poly& p, Poly& out) {
   poly_trim(out);
 }
 
+namespace {
+
+// 1 / lead(b). Root finding and gcd divide by monic polynomials almost
+// always, so the inversion is skipped when it would return 1 anyway.
+std::uint64_t lead_inverse(const Field& f, const Poly& b) {
+  const std::uint64_t lead = b.back();
+  return lead == 1 ? 1 : f.inv(lead);
+}
+
+}  // namespace
+
 void poly_mod_inplace(const Field& f, Poly& a, const Poly& b) {
   const int db = poly_deg(b);
   int da = poly_deg(a);
   if (da < db) return;
-  const std::uint64_t lead_inv = f.inv(b[static_cast<std::size_t>(db)]);
+  const std::uint64_t lead_inv = lead_inverse(f, b);
   while (da >= db) {
     const auto ida = static_cast<std::size_t>(da);
     if (a[ida] != 0) {
@@ -80,7 +91,7 @@ void poly_divmod_inplace(const Field& f, Poly& a, const Poly& b, Poly& q) {
     return;
   }
   q.assign(static_cast<std::size_t>(da - db) + 1, 0);
-  const std::uint64_t lead_inv = f.inv(b[static_cast<std::size_t>(db)]);
+  const std::uint64_t lead_inv = lead_inverse(f, b);
   while (da >= db) {
     const auto ida = static_cast<std::size_t>(da);
     if (a[ida] != 0) {

@@ -97,6 +97,11 @@ bool find_roots_ws(const Field& f, Poly& p, std::uint64_t seed,
   out.clear();
   poly_trim(p);
   if (p.empty()) return false;  // zero polynomial: undefined
+  // Monic once up front: every reduction below (the Frobenius chain and the
+  // splitter's trace chains) then divides by a monic modulus and skips the
+  // lead-coefficient inversion. Remainders mod c*p equal those mod p, so the
+  // roots, their order and the RNG draws are unchanged.
+  poly_make_monic(f, p);
   const int d = poly_deg(p);
   if (d > 1) {
     frobenius_x_ws(f, p, ws);

@@ -8,6 +8,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -32,7 +33,7 @@ class Writer {
   void f64(double v);
 
   void bytes(std::span<const std::uint8_t> data) {
-    for (auto b : data) buf_.push_back(std::byte{b});
+    bytes(std::as_bytes(data));
   }
   void bytes(std::span<const std::byte> data) {
     buf_.insert(buf_.end(), data.begin(), data.end());
@@ -51,7 +52,7 @@ class Writer {
   }
   void str(std::string_view s) {
     u32(checked_len(s.size()));
-    for (char c : s) buf_.push_back(static_cast<std::byte>(c));
+    bytes(std::as_bytes(std::span<const char>(s.data(), s.size())));
   }
 
   std::size_t size() const noexcept { return buf_.size(); }
@@ -88,7 +89,7 @@ class Reader {
   std::array<std::uint8_t, N> fixed() {
     auto s = take(N);
     std::array<std::uint8_t, N> out;
-    for (std::size_t i = 0; i < N; ++i) out[i] = s[i];
+    if constexpr (N > 0) std::memcpy(out.data(), s.data(), N);
     return out;
   }
 

@@ -1,9 +1,12 @@
-// Crypto substrate tests: FIPS 180-4 vectors for SHA-256/512, RFC 8032
-// vectors and algebraic properties for the from-scratch Ed25519.
+// Crypto substrate tests: FIPS 180-4 vectors and pinned known answers for
+// SHA-256/512 (both SHA-256 compression kernels, every padding position),
+// RFC 8032 vectors and algebraic properties for the from-scratch Ed25519.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "crypto/ed25519.hpp"
 #include "crypto/keys.hpp"
@@ -11,6 +14,7 @@
 #include "crypto/sha512.hpp"
 #include "crypto/verify_cache.hpp"
 #include "obs/metrics.hpp"
+#include "sha_known_answers.hpp"
 #include "util/hex.hpp"
 #include "util/rng.hpp"
 
@@ -74,6 +78,86 @@ TEST(Sha256, PaddingBoundaries) {
   }
 }
 
+TEST(Sha256, KnownAnswersWholeAndAtEverySplit) {
+  for (std::size_t n = 0; n < test::kSha256Kat.size(); ++n) {
+    const auto m = test::sha_kat_message(n);
+    const std::span<const std::uint8_t> all(m);
+    ASSERT_EQ(to_hex(sha256(all)), test::kSha256Kat[n]) << "length " << n;
+    for (std::size_t split = 0; split <= n; ++split) {
+      Sha256 h;
+      h.update(all.first(split));
+      h.update(all.subspan(split));
+      ASSERT_EQ(to_hex(h.finalize()), test::kSha256Kat[n])
+          << "length " << n << " split at " << split;
+    }
+  }
+}
+
+using Sha256Kernel = void (*)(std::uint32_t*, const std::uint8_t*,
+                              std::size_t);
+
+// SHA-256 of m through one compression kernel, padded here rather than by
+// Sha256::finalize, so the kernels are checked on their own.
+std::string sha256_hex_via(Sha256Kernel kernel, std::vector<std::uint8_t> m) {
+  const std::uint64_t bits = 8 * static_cast<std::uint64_t>(m.size());
+  m.push_back(0x80);
+  while (m.size() % 64 != 56) m.push_back(0);
+  for (int i = 7; i >= 0; --i) m.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  kernel(state, m.data(), m.size() / 64);
+  Digest256 out;
+  for (int i = 0; i < 32; ++i) {
+    out[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return to_hex(out);
+}
+
+TEST(Sha256, PortableKernelMatchesKnownAnswers) {
+  for (std::size_t n = 0; n < test::kSha256Kat.size(); ++n) {
+    ASSERT_EQ(sha256_hex_via(detail::sha256_compress_portable,
+                             test::sha_kat_message(n)),
+              test::kSha256Kat[n])
+        << "length " << n;
+  }
+}
+
+TEST(Sha256, ShaNiKernelMatchesKnownAnswers) {
+  if (!detail::sha256_shani_available()) {
+    GTEST_SKIP() << "CPU lacks SHA-NI: only the portable kernel was checked";
+  }
+  for (std::size_t n = 0; n < test::kSha256Kat.size(); ++n) {
+    ASSERT_EQ(sha256_hex_via(detail::sha256_compress_shani,
+                             test::sha_kat_message(n)),
+              test::kSha256Kat[n])
+        << "length " << n;
+  }
+}
+
+TEST(Sha256, KernelsAgreeOnRandomBlocks) {
+  if (!detail::sha256_shani_available()) {
+    GTEST_SKIP() << "CPU lacks SHA-NI: no second kernel to compare with";
+  }
+  util::Rng rng(256);
+  std::vector<std::uint8_t> data(8 * 64);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::uint32_t a[8];
+    std::uint32_t b[8];
+    for (int i = 0; i < 8; ++i) a[i] = b[i] = static_cast<std::uint32_t>(rng.next());
+    for (auto& byte : data) byte = static_cast<std::uint8_t>(rng.next());
+    const std::size_t blocks = 1 + rng.next() % 8;
+    detail::sha256_compress_portable(a, data.data(), blocks);
+    detail::sha256_compress_shani(b, data.data(), blocks);
+    ASSERT_TRUE(std::equal(a, a + 8, b)) << "trial " << trial;
+  }
+}
+
+TEST(Sha256, KernelNameMatchesCpu) {
+  EXPECT_STREQ(detail::sha256_kernel_name(),
+               detail::sha256_shani_available() ? "sha-ni" : "portable");
+}
+
 // ------------------------------------------------------------- SHA-512 ----
 
 TEST(Sha512, NistVectors) {
@@ -102,6 +186,22 @@ TEST(Sha512, IncrementalAcrossBlockBoundary) {
   EXPECT_EQ(h.finalize(), sha512(msg));
 }
 
+TEST(Sha512, KnownAnswersWholeAndAtEverySplit) {
+  for (std::size_t k = 0; k < test::kSha512KatLengths.size(); ++k) {
+    const std::size_t n = test::kSha512KatLengths[k];
+    const auto m = test::sha_kat_message(n);
+    const std::span<const std::uint8_t> all(m);
+    ASSERT_EQ(to_hex(sha512(all)), test::kSha512Kat[k]) << "length " << n;
+    for (std::size_t split = 0; split <= n; ++split) {
+      Sha512 h;
+      h.update(all.first(split));
+      h.update(all.subspan(split));
+      ASSERT_EQ(to_hex(h.finalize()), test::kSha512Kat[k])
+          << "length " << n << " split at " << split;
+    }
+  }
+}
+
 // ------------------------------------------------------------- Ed25519 ----
 
 struct Rfc8032Vector {
@@ -127,6 +227,13 @@ const Rfc8032Vector kVectors[] = {
      "6291d657deec24024827e69c3abe01a30ce548a284743a445e3680d7db5ac3ac"
      "18ff9b538d16f290ae67f760984dc6594a7c15e9716ed28dc027beceea1ec40a"},
 };
+
+// A stable instance name; the default byte dump prints the string pointers,
+// which move with address-space randomisation.
+void PrintTo(const Rfc8032Vector& v, std::ostream* os) {
+  *os << "seed=" << std::string(v.seed, 8)
+      << " msg_len=" << std::string(v.msg_hex).size() / 2;
+}
 
 class Rfc8032Test : public ::testing::TestWithParam<Rfc8032Vector> {};
 

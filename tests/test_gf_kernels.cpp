@@ -7,14 +7,19 @@
 // Kernel::kPortable instance is tested alongside Kernel::kAuto so the
 // portable fast path is exercised even on machines where kAuto selects
 // PCLMUL, and vice versa the clmul+Barrett path is covered wherever the CPU
-// has it.
+// has it. Polynomial division is checked against a long division written
+// here over the reference kernels, with monic and non-monic divisors, and
+// root finding against its own result on a scaled locator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
 
 #include "gf/gf2m.hpp"
+#include "gf/poly.hpp"
+#include "gf/root_find.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -144,6 +149,95 @@ TEST_P(GfKernelDifferential, BulkKernelsMatchElementwiseReference) {
       }
       f->mul_many(q.data(), src.data(), n);
       EXPECT_EQ(q, prod_want);
+    }
+  }
+}
+
+// Schoolbook a = q*b + r over the reference kernels; b trimmed and nonzero.
+void reference_divmod(const Field& f, lo::gf::Poly a, const lo::gf::Poly& b,
+                      lo::gf::Poly& q, lo::gf::Poly& r) {
+  const std::size_t db = b.size() - 1;
+  const std::uint64_t lead_inv = f.inv_reference(b.back());
+  q.assign(a.size() >= b.size() ? a.size() - db : 0, 0);
+  for (std::size_t i = a.size(); i-- > db;) {
+    const std::uint64_t factor = f.mul_reference(a[i], lead_inv);
+    q[i - db] = factor;
+    for (std::size_t j = 0; j <= db; ++j) {
+      a[i - db + j] ^= f.mul_reference(factor, b[j]);
+    }
+  }
+  a.resize(std::min(a.size(), db));
+  lo::gf::poly_trim(a);
+  lo::gf::poly_trim(q);
+  r = a;
+}
+
+lo::gf::Poly random_poly(lo::util::Rng& rng, const Field& f, std::size_t deg) {
+  lo::gf::Poly p(deg + 1);
+  for (auto& c : p) c = draw(rng, f);
+  p.back() = f.map_nonzero(rng.next());
+  return p;
+}
+
+TEST_P(GfKernelDifferential, PolyDivisionMatchesReferenceMonicAndNot) {
+  const Field& fast = Field::get(GetParam());
+  const Field& ref = Field::get_reference(GetParam());
+  lo::util::Rng rng(7 * GetParam());
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto a = random_poly(rng, fast, rng.next() % 40);
+    auto b = random_poly(rng, fast, rng.next() % 12);
+    if (trial % 2 == 0) b.back() = 1;  // monic divisor: the skipped inversion
+    lo::gf::Poly want_q;
+    lo::gf::Poly want_r;
+    reference_divmod(fast, a, b, want_q, want_r);
+    for (const Field* f : {&fast, &ref}) {
+      lo::gf::Poly r = a;
+      lo::gf::poly_mod_inplace(*f, r, b);
+      EXPECT_EQ(r, want_r) << "trial " << trial;
+      lo::gf::Poly q;
+      r = a;
+      lo::gf::poly_divmod_inplace(*f, r, b, q);
+      EXPECT_EQ(r, want_r) << "trial " << trial;
+      EXPECT_EQ(q, want_q) << "trial " << trial;
+    }
+  }
+}
+
+TEST_P(GfKernelDifferential, RootsOfScaledLocatorUnchanged) {
+  const Field& f = Field::get(GetParam());
+  lo::util::Rng rng(11 * GetParam());
+  lo::gf::RootWorkspace ws;
+  std::vector<std::uint64_t> want;
+  std::vector<std::uint64_t> got;
+  for (int trial = 0; trial < 40; ++trial) {
+    // A splitting locator prod (x + r_i) with distinct roots, or (odd
+    // trials) a random polynomial, which almost never splits.
+    lo::gf::Poly p{1};
+    if (trial % 2 == 0) {
+      const std::size_t d = 1 + rng.next() % 16;
+      std::vector<std::uint64_t> roots;
+      while (roots.size() < d) {
+        const std::uint64_t r = f.map_nonzero(rng.next());
+        if (std::find(roots.begin(), roots.end(), r) == roots.end()) {
+          roots.push_back(r);
+        }
+      }
+      for (std::uint64_t r : roots) p = lo::gf::poly_mul(f, p, {r, 1});
+    } else {
+      p = random_poly(rng, f, 2 + rng.next() % 10);
+    }
+    const std::uint64_t c = f.map_nonzero(rng.next());
+    lo::gf::Poly scaled = p;
+    for (auto& coef : scaled) coef = f.mul(coef, c);
+    const std::uint64_t seed = rng.next();
+    const bool ok_p = lo::gf::find_roots_ws(f, p, seed, ws, want);
+    const bool ok_scaled = lo::gf::find_roots_ws(f, scaled, seed, ws, got);
+    EXPECT_EQ(ok_p, ok_scaled) << "trial " << trial;
+    if (trial % 2 == 0) {
+      EXPECT_TRUE(ok_p) << "trial " << trial;
+    }
+    if (ok_p && ok_scaled) {
+      EXPECT_EQ(got, want) << "trial " << trial;
     }
   }
 }

@@ -1,7 +1,8 @@
 // lobench-diff tests: tolerant parsing of both BENCH_*.json shapes the repo
 // emits (the bench_common JsonReport and full google-benchmark output),
 // hostile/degenerate inputs, tolerance-band semantics (ok / missing / new /
-// drift, inclusive edges, inverted real_time metric) and the rendered report.
+// drift, inclusive edges, inverted real_time metric, "better": "lower"
+// entries) and the rendered report.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -49,6 +50,19 @@ TEST(BenchDiffParse, ReadsGoogleBenchmarkShape) {
   EXPECT_EQ(entries[0].name, "BM_sketch/64");
   EXPECT_DOUBLE_EQ(entries[0].real_time, 1.25e3);
   EXPECT_DOUBLE_EQ(entries[0].items_per_second, 0.0);
+}
+
+TEST(BenchDiffParse, ReadsDeclaredDirection) {
+  const auto entries = parse_bench_json(R"({"benchmarks": [
+    {"name": "obs/overhead_ratio", "items_per_second": 1.04,
+     "better": "lower"},
+    {"name": "obs/traced", "items_per_second": 9.0e4, "better": "higher"},
+    {"name": "obs/disabled", "items_per_second": 3.0e3}
+  ]})");
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_TRUE(entries[0].lower_is_better);
+  EXPECT_FALSE(entries[1].lower_is_better);
+  EXPECT_FALSE(entries[2].lower_is_better);
 }
 
 TEST(BenchDiffParse, RejectsDocumentsWithoutBenchmarks) {
@@ -117,6 +131,54 @@ TEST(BenchDiff, InvertedRealTimeMetricMeansFasterIsHigher) {
   r = diff({base}, {fresh}, Tolerance{});
   EXPECT_EQ(r.lines[0].status, DiffLine::Status::kOutOfBand);
   EXPECT_FALSE(r.ok());
+}
+
+std::vector<BenchEntry> lower(const std::string& name, double value) {
+  auto e = one(name, value);
+  e[0].lower_is_better = true;
+  return e;
+}
+
+TEST(BenchDiff, LowerIsBetterRiseReadsAsRegression) {
+  // Overhead ratio 1.04 -> 1.56: worse, so the ratio drops below 1.
+  auto r = diff(lower("obs/overhead_ratio", 1.04),
+                lower("obs/overhead_ratio", 1.56), Tolerance{});
+  ASSERT_EQ(r.lines.size(), 1u);
+  EXPECT_NEAR(r.lines[0].ratio, 1.04 / 1.56, 1e-12);
+  EXPECT_TRUE(r.ok());
+  // A latency that triples falls out of the band on the low side.
+  r = diff(lower("membership/detect_latency_s", 3.5),
+           lower("membership/detect_latency_s", 10.5), Tolerance{0.5, 10.0});
+  EXPECT_NEAR(r.lines[0].ratio, 1.0 / 3.0, 1e-12);
+  EXPECT_EQ(r.lines[0].status, DiffLine::Status::kOutOfBand);
+}
+
+TEST(BenchDiff, LowerIsBetterFallReadsAsImprovement) {
+  // Detection latency 3.5 s -> 1.75 s: better, ratio 2.
+  auto r = diff(lower("membership/detect_latency_s", 3.5),
+                lower("membership/detect_latency_s", 1.75), Tolerance{});
+  ASSERT_EQ(r.lines.size(), 1u);
+  EXPECT_DOUBLE_EQ(r.lines[0].ratio, 2.0);
+  EXPECT_TRUE(r.ok());
+  // Tightened to forbid big improvements, the same halving is out of band,
+  // while a higher-is-better value that halves is out of band on the low side.
+  r = diff(lower("membership/detect_latency_s", 3.5),
+           lower("membership/detect_latency_s", 1.75), Tolerance{0.1, 1.5});
+  EXPECT_EQ(r.lines[0].status, DiffLine::Status::kOutOfBand);
+  r = diff(one("obs/traced", 100.0), one("obs/traced", 50.0),
+           Tolerance{0.9, 10.0});
+  EXPECT_DOUBLE_EQ(r.lines[0].ratio, 0.5);
+  EXPECT_EQ(r.lines[0].status, DiffLine::Status::kOutOfBand);
+}
+
+TEST(BenchDiff, DirectionDeclaredOnEitherSideApplies) {
+  // A baseline written before the entry declared its direction.
+  const auto base = one("obs/overhead_ratio", 2.0);
+  const auto r = diff(base, lower("obs/overhead_ratio", 4.0), Tolerance{});
+  EXPECT_DOUBLE_EQ(r.lines[0].ratio, 0.5);
+  const auto back = diff(lower("obs/overhead_ratio", 2.0),
+                         one("obs/overhead_ratio", 4.0), Tolerance{});
+  EXPECT_DOUBLE_EQ(back.lines[0].ratio, 0.5);
 }
 
 TEST(BenchDiff, CustomToleranceTightensTheBand) {

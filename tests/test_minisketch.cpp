@@ -3,6 +3,7 @@
 // and the hash-partitioned reconciler of Sec. 6.5.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "minisketch/partitioned.hpp"
@@ -48,6 +49,13 @@ struct SketchParam {
   std::size_t capacity;
   std::size_t diff;
 };
+
+// Names each instance by its fields. Without this, gtest names it by a raw
+// byte dump that includes the struct's uninitialised padding, so the test
+// name changes from run to run.
+void PrintTo(const SketchParam& p, std::ostream* os) {
+  *os << "bits=" << p.bits << " capacity=" << p.capacity << " diff=" << p.diff;
+}
 
 class SketchRoundTrip : public ::testing::TestWithParam<SketchParam> {};
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "core/block.hpp"
 #include "core/commitment.hpp"
@@ -162,6 +163,12 @@ struct TruncParam {
   std::size_t trunc;
   std::size_t items;
 };
+
+// A stable instance name; the default byte dump includes the padding bytes.
+void PrintTo(const TruncParam& p, std::ostream* os) {
+  *os << "bits=" << p.bits << " full=" << p.full << " trunc=" << p.trunc
+      << " items=" << p.items;
+}
 
 class SketchTruncationProperty : public ::testing::TestWithParam<TruncParam> {};
 

@@ -117,6 +117,8 @@ BenchEntry parse_entry(const std::string& s, std::size_t& i) {
       e.items_per_second = parse_number(s, i);
     } else if (key == "real_time") {
       e.real_time = parse_number(s, i);
+    } else if (key == "better" && i < s.size() && s[i] == '"') {
+      e.lower_is_better = parse_string(s, i) == "lower";
     } else {
       skip_value(s, i);
     }
@@ -152,10 +154,13 @@ std::vector<BenchEntry> parse_bench_json(const std::string& text) {
 
 DiffResult diff(const std::vector<BenchEntry>& baseline,
                 const std::vector<BenchEntry>& fresh, const Tolerance& tol) {
-  // Better-is-higher metric: items_per_second when present, else inverted
-  // real_time (so ratio > 1 always means "got faster").
-  auto metric = [](const BenchEntry& e) {
-    if (e.items_per_second > 0.0) return e.items_per_second;
+  // Better-is-higher metric: items_per_second when present (inverted for
+  // lower-is-better entries), else inverted real_time, so ratio > 1 always
+  // means "got better".
+  auto metric = [](const BenchEntry& e, bool lower_is_better) {
+    if (e.items_per_second > 0.0) {
+      return lower_is_better ? 1.0 / e.items_per_second : e.items_per_second;
+    }
     if (e.real_time > 0.0) return 1.0 / e.real_time;
     return 0.0;
   };
@@ -166,13 +171,15 @@ DiffResult diff(const std::vector<BenchEntry>& baseline,
   for (const auto& base : baseline) {
     DiffLine line;
     line.name = base.name;
-    line.baseline = metric(base);
     auto it = fresh_by.find(base.name);
     if (it == fresh_by.end()) {
+      line.baseline = metric(base, base.lower_is_better);
       line.status = DiffLine::Status::kMissing;
       ++r.failures;
     } else {
-      line.fresh = metric(*it->second);
+      const bool lower = base.lower_is_better || it->second->lower_is_better;
+      line.baseline = metric(base, lower);
+      line.fresh = metric(*it->second, lower);
       line.ratio = line.baseline > 0.0 ? line.fresh / line.baseline : 0.0;
       if (line.ratio < tol.min_ratio || line.ratio > tol.max_ratio) {
         line.status = DiffLine::Status::kOutOfBand;
@@ -185,7 +192,7 @@ DiffResult diff(const std::vector<BenchEntry>& baseline,
   for (const auto& [name, e] : fresh_by) {
     DiffLine line;
     line.name = name;
-    line.fresh = metric(*e);
+    line.fresh = metric(*e, e->lower_is_better);
     line.status = DiffLine::Status::kNew;
     r.lines.push_back(std::move(line));
   }

@@ -4,7 +4,9 @@
 // Both the bench_common JsonReport shape and full google-benchmark output
 // carry a "benchmarks" array whose entries have "name" and (for throughput
 // benches) "items_per_second"; entries without items_per_second fall back to
-// "real_time" (lower is better, so the ratio inverts). The parser is a
+// "real_time" (lower is better, so the ratio inverts). A JsonReport entry
+// whose value is a latency, byte count or overhead ratio carries
+// "better": "lower", and its items_per_second ratio inverts the same way. The parser is a
 // tolerant scanner over exactly that subset — not a general JSON parser —
 // so context blocks of any shape pass through unharmed.
 //
@@ -26,6 +28,7 @@ struct BenchEntry {
   std::string name;
   double items_per_second = 0.0;  // 0 when absent
   double real_time = 0.0;         // 0 when absent
+  bool lower_is_better = false;   // "better": "lower" on items_per_second
 };
 
 // Extracts entries from a BENCH_*.json document. Throws std::runtime_error
@@ -44,7 +47,8 @@ struct DiffLine {
   std::string name;
   double baseline = 0.0;
   double fresh = 0.0;
-  double ratio = 0.0;  // fresh/baseline on the better-is-higher metric
+  double ratio = 0.0;  // fresh/baseline on the better-is-higher metric:
+                       // < 1 is a regression in either direction
   enum class Status { kOk, kMissing, kNew, kOutOfBand } status = Status::kOk;
 };
 
@@ -54,6 +58,8 @@ struct DiffResult {
   bool ok() const noexcept { return failures == 0; }
 };
 
+// An entry is lower-is-better when either side declares it, so a baseline
+// written before the entry declared its direction still compares correctly.
 DiffResult diff(const std::vector<BenchEntry>& baseline,
                 const std::vector<BenchEntry>& fresh, const Tolerance& tol);
 
