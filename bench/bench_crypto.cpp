@@ -4,6 +4,12 @@
 // Supporting measurements — the paper's protocol signs every commitment and
 // block, so these bound the non-simulated CPU cost per protocol message.
 //
+// BM_Ed25519Sign and BM_Ed25519Verify repeat one input, so the branch
+// predictor learns its data-dependent branches; the *Distinct variants
+// rotate through 64 messages and signatures, which is what a live run pays.
+// BM_SignerSign signs with the key a Signer expands once; BM_ScReduce is the
+// mod-L reduction run once per verify and twice per sign.
+//
 // The Ed25519 verify path is benchmarked in four tiers (see DESIGN.md
 // "verify fast path"):
 //   BM_Ed25519VerifyReference — the pre-optimization generic double-and-add
@@ -117,6 +123,73 @@ void BM_Ed25519Sign(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_Ed25519Sign)->Unit(benchmark::kMicrosecond);
+
+// 64 distinct 250-byte messages and their signatures under one key.
+constexpr std::size_t kDistinct = 64;
+
+struct SignedMessages {
+  KeyPair kp;
+  std::vector<std::vector<std::uint8_t>> msgs;
+  std::vector<Signature> sigs;
+};
+
+SignedMessages signed_messages() {
+  SignedMessages m;
+  m.kp = derive_keypair(7, SignatureMode::kEd25519);
+  for (std::size_t i = 0; i < kDistinct; ++i) {
+    m.msgs.push_back(random_bytes(250, 200 + i));
+    m.sigs.push_back(ed25519_sign(m.kp.seed, m.msgs.back()));
+  }
+  return m;
+}
+
+void BM_Ed25519SignDistinct(benchmark::State& state) {
+  const auto m = signed_messages();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto sig = ed25519_sign(m.kp.seed, m.msgs[i++ % kDistinct]);
+    benchmark::DoNotOptimize(sig);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_Ed25519SignDistinct)->Unit(benchmark::kMicrosecond);
+
+// A node's signing path: the Signer expanded its key at construction.
+void BM_SignerSign(benchmark::State& state) {
+  const auto m = signed_messages();
+  const Signer s(m.kp, SignatureMode::kEd25519);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto sig = s.sign(m.msgs[i++ % kDistinct]);
+    benchmark::DoNotOptimize(sig);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SignerSign)->Unit(benchmark::kMicrosecond);
+
+void BM_Ed25519VerifyDistinct(benchmark::State& state) {
+  const auto m = signed_messages();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::size_t k = i++ % kDistinct;
+    bool ok = ed25519_verify(m.kp.pub, m.msgs[k], m.sigs[k]);
+    benchmark::DoNotOptimize(ok);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_Ed25519VerifyDistinct)->Unit(benchmark::kMicrosecond);
+
+void BM_ScReduce(benchmark::State& state) {
+  std::vector<std::vector<std::uint8_t>> inputs;
+  for (std::size_t i = 0; i < kDistinct; ++i) inputs.push_back(random_bytes(64, 300 + i));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto r = detail::sc_reduce(inputs[i++ % kDistinct]);
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ScReduce);
 
 // "Before": generic double-and-add for both scalar multiplications, no
 // precomputed tables. This is the seed repo's verifier, preserved as

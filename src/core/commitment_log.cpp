@@ -33,6 +33,7 @@ std::vector<TxId> CommitmentLog::append(std::span<const TxId> txids,
   if (!appended.empty()) {
     ++seqno_;
     bundles_.push_back(Bundle{seqno_, source, appended});
+    minted_.clear();
   }
   return appended;
 }
@@ -49,8 +50,16 @@ CommitmentHeader CommitmentLog::make_header(const crypto::Signer& signer,
   h.sketch = wire_capacity >= sketch_.capacity() ? sketch_
                                                  : sketch_.truncated(wire_capacity);
   h.key = signer.public_key();
+  const std::size_t cap = h.sketch.capacity();
+  for (const auto& m : minted_) {
+    if (m.wire_capacity == cap && m.mode == signer.mode() && m.key == h.key) {
+      h.sig = m.sig;
+      return h;
+    }
+  }
   auto msg = h.signing_bytes();
   h.sig = signer.sign(std::span<const std::uint8_t>(msg.data(), msg.size()));
+  minted_.push_back(MintedSig{h.key, signer.mode(), cap, h.sig});
   return h;
 }
 

@@ -54,7 +54,10 @@ class CommitmentLog {
   // Snapshot of the current state as a signed commitment header. The wire
   // sketch is truncated to `wire_capacity` syndromes (PinSketch prefix
   // property) — callers size it to the estimated difference with the peer;
-  // by default the full local capacity is included.
+  // by default the full local capacity is included. A header minted again
+  // at the same seqno and wire capacity for the same signer reuses the first
+  // one's signature: its signed bytes are identical and both signature modes
+  // are deterministic.
   CommitmentHeader make_header(const crypto::Signer& signer,
                                std::size_t wire_capacity = SIZE_MAX) const;
 
@@ -97,6 +100,16 @@ class CommitmentLog {
   crypto::Digest256 chain_hash_{};
   bloom::BloomClock clock_;
   sketch::Sketch sketch_;
+
+  // Signatures of the headers minted since the last append(), which clears
+  // them. Not part of the log's state: memory_bytes() leaves them out.
+  struct MintedSig {
+    crypto::PublicKey key;
+    crypto::SignatureMode mode;
+    std::size_t wire_capacity;
+    crypto::Signature sig;
+  };
+  mutable std::vector<MintedSig> minted_;
 };
 
 }  // namespace lo::core

@@ -1269,9 +1269,13 @@ void LoNode::handle_bundle_request(NodeId from, const BundleRequest& req) {
       sb.shards = k_;
       sb.txids = b->txids;
       sb.key = signer_.public_key();
-      auto bytes = sb.signing_bytes();
-      sb.sig =
-          signer_.sign(std::span<const std::uint8_t>(bytes.data(), bytes.size()));
+      const auto [sig, fresh] = own_bundle_sigs_.try_emplace({req.shard, seqno});
+      if (fresh) {
+        auto bytes = sb.signing_bytes();
+        sig->second =
+            signer_.sign(std::span<const std::uint8_t>(bytes.data(), bytes.size()));
+      }
+      sb.sig = sig->second;
       resp->bundles.push_back(std::move(sb));
     } else {
       // Relay signed bundles we hold for third parties.

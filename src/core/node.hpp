@@ -23,10 +23,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/accountability.hpp"
@@ -349,6 +351,12 @@ class LoNode final : public sim::INode {
   std::unordered_map<std::uint64_t,
                      std::unordered_map<std::uint64_t, SignedBundle>>
       mirrors_;
+  // Signatures of our own bundles by (shard, seqno). A bundle never changes
+  // once appended and signing is deterministic, so every inspector after the
+  // first is sent the signature the first one got. Like the verify cache it
+  // survives a crash: the log it mirrors persists.
+  std::map<std::pair<std::uint32_t, std::uint64_t>, crypto::Signature>
+      own_bundle_sigs_;
   std::unordered_map<crypto::Digest256, Block, TxIdHash> seen_blocks_;
   std::unordered_set<std::uint64_t> seen_suspicions_;  // key(reporter, epoch)
   std::unordered_set<NodeId> seen_exposures_;

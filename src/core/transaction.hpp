@@ -42,6 +42,8 @@ struct Transaction {
   std::vector<std::uint8_t> signing_bytes() const;
   // Recomputes the id from the current field values.
   TxId compute_id() const;
+  // Same id, from signing_bytes() the caller has already built.
+  TxId compute_id(std::span<const std::uint8_t> signing_bytes) const;
 };
 
 // Creates a signed transaction whose wire size is exactly kTxWireSize.

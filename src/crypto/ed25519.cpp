@@ -1,6 +1,7 @@
 #include "crypto/ed25519.hpp"
 
 #include <cstring>
+#include <vector>
 
 #include "crypto/sha512.hpp"
 #include "obs/profile.hpp"
@@ -377,13 +378,42 @@ GeCached ge_to_cached(const Ge& p) noexcept {
   return c;
 }
 
-// add-2008-hwcd-3 for a = -1 with k = 2d; 8 field multiplies.
-Ge ge_add_cached(const Ge& p, const GeCached& q) noexcept {
+// The static base tables hold their points with Z = 1: Y+X, Y-X and 2d*T
+// of the affine point. A mixed addition against one skips the Z1*Z2 product.
+struct GePrecomp {
+  Fe ypx, ymx, t2d;
+};
+
+// Brings n cached points to Z = 1 with a single inversion (Montgomery's
+// trick: invert the product of all Z, then peel one factor off per point).
+void ge_to_precomp(const GeCached* in, GePrecomp* out, std::size_t n) {
+  std::vector<Fe> prefix(n);  // prefix[i] = z_0 * ... * z_i
+  Fe acc = fe_one();
+  for (std::size_t i = 0; i < n; ++i) prefix[i] = acc = fe_mul(acc, in[i].z);
+  Fe inv = fe_invert(acc);
+  for (std::size_t i = n; i-- > 0;) {
+    const Fe zinv = i > 0 ? fe_mul(inv, prefix[i - 1]) : inv;
+    inv = fe_mul(inv, in[i].z);
+    out[i] = {fe_mul(in[i].ypx, zinv), fe_mul(in[i].ymx, zinv),
+              fe_mul(in[i].t2d, zinv)};
+  }
+}
+
+// 2*Z1*Z2, the one term in which the two point forms differ.
+Fe ge_z2(const Ge& p, const GeCached& q) noexcept {
+  const Fe d = fe_mul_raw(p.Z, q.z);
+  return fe_add(d, d);
+}
+Fe ge_z2(const Ge& p, const GePrecomp&) noexcept { return fe_add(p.Z, p.Z); }
+
+// add-2008-hwcd-3 for a = -1 with k = 2d; 8 field multiplies, 7 against a
+// GePrecomp.
+template <class Q>
+Ge ge_add_cached(const Ge& p, const Q& q) noexcept {
   const Fe a = fe_mul_raw(fe_sub(p.Y, p.X), q.ymx);
   const Fe b = fe_mul_raw(fe_add(p.Y, p.X), q.ypx);
   const Fe c = fe_mul_raw(p.T, q.t2d);
-  Fe d = fe_mul_raw(p.Z, q.z);
-  d = fe_add(d, d);
+  const Fe d = ge_z2(p, q);
   const Fe e = fe_sub(b, a);
   const Fe f = fe_sub(d, c);
   const Fe g = fe_add(d, c);
@@ -398,12 +428,12 @@ Ge ge_add_cached(const Ge& p, const GeCached& q) noexcept {
 
 // p - q: same formula against the negated cached point (ypx/ymx swap roles
 // and 2d*T flips sign, which swaps f and g).
-Ge ge_sub_cached(const Ge& p, const GeCached& q) noexcept {
+template <class Q>
+Ge ge_sub_cached(const Ge& p, const Q& q) noexcept {
   const Fe a = fe_mul_raw(fe_sub(p.Y, p.X), q.ypx);
   const Fe b = fe_mul_raw(fe_add(p.Y, p.X), q.ymx);
   const Fe c = fe_mul_raw(p.T, q.t2d);
-  Fe d = fe_mul_raw(p.Z, q.z);
-  d = fe_add(d, d);
+  const Fe d = ge_z2(p, q);
   const Fe e = fe_sub(b, a);
   const Fe f = fe_add(d, c);
   const Fe g = fe_sub(d, c);
@@ -448,69 +478,43 @@ Ge ge_normalize(const Ge& p) noexcept {
 // Precomputed multiples of the base point:
 //   win[i][j] = (j+1) * 16^i * B   (fixed-base 4-bit windows; 64x15 entries)
 //   naf[j]    = (2j+1) * B         (width-7 NAF digits 1,3,...,63; 32 entries)
-// ~195 KiB total, built once on first use from the generic group law.
+// ~116 KiB total, built once on first use from the generic group law and
+// then brought to Z = 1.
 struct BaseTables {
-  GeCached win[64][15];
-  GeCached naf[32];
+  GePrecomp win[64][15];
+  GePrecomp naf[32];
 };
 
 const BaseTables& base_tables() {
   static const BaseTables t = [] {
-    BaseTables bt;
+    std::vector<GeCached> win;
+    win.reserve(64 * 15);
     const Ge& B = constants().base;
     Ge p = B;  // 16^i * B
     for (int i = 0; i < 64; ++i) {
       const GeCached pc = ge_to_cached(p);
-      bt.win[i][0] = pc;
+      win.push_back(pc);
       Ge q = p;
       for (int j = 1; j < 15; ++j) {
         q = ge_add_cached(q, pc);
-        bt.win[i][j] = ge_to_cached(q);
+        win.push_back(ge_to_cached(q));
       }
       if (i < 63) p = ge_add_cached(q, pc);  // 15*16^i*B + 16^i*B
     }
+    std::vector<GeCached> naf;
     const GeCached b2 = ge_to_cached(ge_dbl(ge_normalize(B)));
     Ge q = B;
-    bt.naf[0] = ge_to_cached(B);
+    naf.push_back(ge_to_cached(B));
     for (int j = 1; j < 32; ++j) {
       q = ge_add_cached(q, b2);
-      bt.naf[j] = ge_to_cached(q);
+      naf.push_back(ge_to_cached(q));
     }
+    BaseTables bt;
+    ge_to_precomp(win.data(), &bt.win[0][0], win.size());
+    ge_to_precomp(naf.data(), bt.naf, naf.size());
     return bt;
   }();
   return t;
-}
-
-// Signed sliding-window recoding: rewrites the scalar's bits into odd
-// digits r[i] in [-bound, bound] (bound = 2^(w-1) - 1) such that
-// sum r[i]*2^i == scalar, leaving runs of zeros between nonzero digits.
-void slide(std::int8_t r[256], const std::array<std::uint8_t, 32>& a,
-           int bound) noexcept {
-  for (int i = 0; i < 256; ++i) {
-    r[i] = static_cast<std::int8_t>(1 & (a[static_cast<std::size_t>(i) >> 3] >>
-                                         (i & 7)));
-  }
-  for (int i = 0; i < 256; ++i) {
-    if (!r[i]) continue;
-    for (int b = 1; b <= 6 && i + b < 256; ++b) {
-      if (!r[i + b]) continue;
-      if (r[i] + (r[i + b] << b) <= bound) {
-        r[i] = static_cast<std::int8_t>(r[i] + (r[i + b] << b));
-        r[i + b] = 0;
-      } else if (r[i] - (r[i + b] << b) >= -bound) {
-        r[i] = static_cast<std::int8_t>(r[i] - (r[i + b] << b));
-        for (int k = i + b; k < 256; ++k) {
-          if (!r[k]) {
-            r[k] = 1;
-            break;
-          }
-          r[k] = 0;
-        }
-      } else {
-        break;
-      }
-    }
-  }
 }
 
 }  // namespace
@@ -560,14 +564,49 @@ Ge ge_scalarmult_base(const std::array<std::uint8_t, 32>& scalar) noexcept {
   return h;
 }
 
+void wnaf(std::int8_t naf[257], const std::array<std::uint8_t, 32>& scalar,
+          int w) noexcept {
+  // Scan upward; at an odd window (the next w bits plus the carry) emit the
+  // signed residue mod 2^w, carry 1 when it is negative, and skip w bits.
+  u64 x[5] = {};
+  for (int i = 0; i < 32; ++i) {
+    x[i / 8] |= static_cast<u64>(scalar[static_cast<std::size_t>(i)]) << (8 * (i % 8));
+  }
+  std::memset(naf, 0, 257);
+  const u64 width = 1ULL << w;
+  const u64 mask = width - 1;
+  u64 carry = 0;
+  int pos = 0;
+  while (pos < 257) {
+    const int word = pos / 64;
+    const int bit = pos % 64;
+    u64 buf = x[word] >> bit;
+    if (bit > 64 - w && word < 4) buf |= x[word + 1] << (64 - bit);
+    const u64 window = carry + (buf & mask);
+    if ((window & 1) == 0) {
+      ++pos;
+      continue;
+    }
+    if (window < width / 2) {
+      carry = 0;
+      naf[pos] = static_cast<std::int8_t>(window);
+    } else {
+      carry = 1;
+      naf[pos] = static_cast<std::int8_t>(static_cast<int>(window) -
+                                          static_cast<int>(width));
+    }
+    pos += w;
+  }
+}
+
 Ge ge_double_scalarmult_base_vartime(const std::array<std::uint8_t, 32>& a,
                                      const Ge& A,
                                      const std::array<std::uint8_t, 32>& b) noexcept {
   // Straus/Shamir: a single doubling chain consumes both scalars' NAF digits.
-  std::int8_t aslide[256];
-  std::int8_t bslide[256];
-  slide(aslide, a, 15);  // width-5 digits for the runtime point A
-  slide(bslide, b, 63);  // width-7 digits for the precomputed base table
+  std::int8_t anaf[257];
+  std::int8_t bnaf[257];
+  wnaf(anaf, a, 5);  // digits up to +-15 for the runtime point A
+  wnaf(bnaf, b, 7);  // digits up to +-63 for the precomputed base table
 
   // Odd multiples of A: ai[j] = (2j+1) * A.
   GeCached ai[8];
@@ -581,20 +620,20 @@ Ge ge_double_scalarmult_base_vartime(const std::array<std::uint8_t, 32>& a,
   }
 
   const BaseTables& t = base_tables();
-  int i = 255;
-  while (i >= 0 && !aslide[i] && !bslide[i]) --i;
+  int i = 256;
+  while (i >= 0 && !anaf[i] && !bnaf[i]) --i;
   Ge r = ge_identity();
   for (; i >= 0; --i) {
     r = ge_dbl(r);
-    if (aslide[i] > 0) {
-      r = ge_add_cached(r, ai[aslide[i] / 2]);
-    } else if (aslide[i] < 0) {
-      r = ge_sub_cached(r, ai[(-aslide[i]) / 2]);
+    if (anaf[i] > 0) {
+      r = ge_add_cached(r, ai[anaf[i] / 2]);
+    } else if (anaf[i] < 0) {
+      r = ge_sub_cached(r, ai[(-anaf[i]) / 2]);
     }
-    if (bslide[i] > 0) {
-      r = ge_add_cached(r, t.naf[bslide[i] / 2]);
-    } else if (bslide[i] < 0) {
-      r = ge_sub_cached(r, t.naf[(-bslide[i]) / 2]);
+    if (bnaf[i] > 0) {
+      r = ge_add_cached(r, t.naf[bnaf[i] / 2]);
+    } else if (bnaf[i] < 0) {
+      r = ge_sub_cached(r, t.naf[(-bnaf[i]) / 2]);
     }
   }
   return r;
@@ -648,28 +687,67 @@ void sc_sub_inplace(u64 a[4], const u64 b[4]) noexcept {
 
 Sc sc_zero() noexcept { return Sc{}; }
 
-Sc sc_reduce(std::span<const std::uint8_t> bytes_le) noexcept {
-  // Horner over bits, MSB first: r = 2r + bit (mod L). Keeps r < L throughout
-  // (2r + 1 < 2L so at most one subtraction per step). Slow but obviously
-  // correct; scalar throughput is measured in bench_crypto.
-  Sc r{};
-  const int nbits = static_cast<int>(bytes_le.size()) * 8;
-  for (int i = nbits - 1; i >= 0; --i) {
-    // r <<= 1
-    u64 carry = 0;
-    for (int j = 0; j < 4; ++j) {
-      const u64 nv = (r.v[j] << 1) | carry;
-      carry = r.v[j] >> 63;
-      r.v[j] = nv;
-    }
-    // += bit
-    if ((bytes_le[static_cast<std::size_t>(i) / 8] >> (i % 8)) & 1) {
-      int j = 0;
-      while (j < 4 && ++r.v[j] == 0) ++j;
-    }
-    if (sc_geq(r.v, kL)) sc_sub_inplace(r.v, kL);
+namespace {
+
+// Horner accumulator modulo L over 32-bit digits, most significant first.
+// L = 2^252 + c with c = kL[0] + kL[1]*2^64 < 2^125, so 2^252 == -c (mod L).
+// Each step forms t = r*2^32 + digit < 2^285 from r < L, splits it as
+// q*2^252 + lo with q < 2^33 and lo < 2^252, and keeps lo - q*c, which lies in
+// (-2^158, 2^252): one conditional add of L brings it back into [0, L).
+struct ScAccumulator {
+  u64 r[4] = {};
+
+  void push(std::uint32_t digit) noexcept {
+    const u64 top = r[3] >> 32;
+    r[3] = (r[3] << 32) | (r[2] >> 32);
+    r[2] = (r[2] << 32) | (r[1] >> 32);
+    r[1] = (r[1] << 32) | (r[0] >> 32);
+    r[0] = (r[0] << 32) | digit;
+    const u64 q = (r[3] >> 60) | (top << 4);
+    r[3] &= (1ULL << 60) - 1;
+    // r -= q*c, borrows taken from the sign bit of the 128-bit difference.
+    const u128 qc0 = (u128)q * kL[0];
+    const u128 qc1 = (u128)q * kL[1] + (u64)(qc0 >> 64);
+    u128 d = (u128)r[0] - (u64)qc0;
+    r[0] = (u64)d;
+    d = (u128)r[1] - (u64)qc1 - (u64)(d >> 127);
+    r[1] = (u64)d;
+    d = (u128)r[2] - (u64)(qc1 >> 64) - (u64)(d >> 127);
+    r[2] = (u64)d;
+    d = (u128)r[3] - (u64)(d >> 127);
+    r[3] = (u64)d;
+    // Negative (wrapped mod 2^256): add L; the carry out of r[3] cancels the
+    // wrap.
+    const u64 m = 0 - (u64)(d >> 127);
+    u128 s = (u128)r[0] + (kL[0] & m);
+    r[0] = (u64)s;
+    s = (u128)r[1] + (kL[1] & m) + (u64)(s >> 64);
+    r[1] = (u64)s;
+    s = (u128)r[2] + (u64)(s >> 64);
+    r[2] = (u64)s;
+    r[3] += (kL[3] & m) + (u64)(s >> 64);
   }
-  return r;
+
+  Sc value() const noexcept {
+    Sc out;
+    for (int i = 0; i < 4; ++i) out.v[i] = r[i];
+    return out;
+  }
+};
+
+}  // namespace
+
+Sc sc_reduce(std::span<const std::uint8_t> bytes_le) noexcept {
+  ScAccumulator acc;
+  const std::size_t n = bytes_le.size();
+  for (std::size_t d = (n + 3) / 4; d-- > 0;) {
+    std::uint32_t digit = 0;
+    for (std::size_t j = 4 * d + 4; j-- > 4 * d;) {
+      digit = (digit << 8) | (j < n ? bytes_le[j] : 0u);
+    }
+    acc.push(digit);
+  }
+  return acc.value();
 }
 
 Sc sc_add(const Sc& a, const Sc& b) noexcept {
@@ -689,7 +767,7 @@ Sc sc_add(const Sc& a, const Sc& b) noexcept {
 }
 
 Sc sc_mul(const Sc& a, const Sc& b) noexcept {
-  // Schoolbook 4x4 -> 8 limbs, then byte-serialize and reduce.
+  // Schoolbook 4x4 -> 8 limbs, then reduce the 512-bit product.
   u64 prod[8] = {0};
   for (int i = 0; i < 4; ++i) {
     u64 carry = 0;
@@ -700,13 +778,12 @@ Sc sc_mul(const Sc& a, const Sc& b) noexcept {
     }
     prod[i + 4] += carry;
   }
-  std::uint8_t bytes[64];
-  for (int i = 0; i < 8; ++i) {
-    for (int j = 0; j < 8; ++j) {
-      bytes[8 * i + j] = static_cast<std::uint8_t>(prod[i] >> (8 * j));
-    }
+  ScAccumulator acc;
+  for (int i = 7; i >= 0; --i) {
+    acc.push(static_cast<std::uint32_t>(prod[i] >> 32));
+    acc.push(static_cast<std::uint32_t>(prod[i]));
   }
-  return sc_reduce(std::span<const std::uint8_t>(bytes, 64));
+  return acc.value();
 }
 
 Sc sc_neg(const Sc& a) noexcept {
@@ -745,22 +822,6 @@ namespace {
 
 using namespace detail;
 
-struct ExpandedKey {
-  std::array<std::uint8_t, 32> a_clamped;  // scalar bytes for A = a*B
-  std::array<std::uint8_t, 32> prefix;
-};
-
-ExpandedKey expand(const SecretSeed& seed) {
-  const Digest512 h = sha512(std::span<const std::uint8_t>(seed.data(), seed.size()));
-  ExpandedKey k;
-  std::memcpy(k.a_clamped.data(), h.data(), 32);
-  std::memcpy(k.prefix.data(), h.data() + 32, 32);
-  k.a_clamped[0] &= 248;
-  k.a_clamped[31] &= 127;
-  k.a_clamped[31] |= 64;
-  return k;
-}
-
 // Core of verification with a pre-decompressed A. Checks S*B == R + k*A by
 // computing R' = S*B + k*(-A) with one interleaved double-scalar multiply and
 // comparing encodings: R' encodes canonically, so byte equality with sig[0..32)
@@ -786,20 +847,45 @@ bool verify_with_point(const Ge& a_point, const PublicKey& pub_enc,
   return ge_to_bytes(rcheck) == r_enc;
 }
 
-}  // namespace
-
-PublicKey ed25519_public_key(const SecretSeed& seed) {
-  const ExpandedKey k = expand(seed);
-  return ge_to_bytes(ge_scalarmult_base(k.a_clamped));
+// RFC 8032 Sec. 5.1.5: the clamped lower half of SHA-512(seed) is the
+// secret scalar a, the upper half the nonce prefix. Returns a.
+std::array<std::uint8_t, 32> expand_into(Ed25519SigningKey& k,
+                                         const SecretSeed& seed) {
+  const Digest512 h = sha512(std::span<const std::uint8_t>(seed.data(), seed.size()));
+  std::array<std::uint8_t, 32> a_clamped;
+  std::memcpy(a_clamped.data(), h.data(), 32);
+  a_clamped[0] &= 248;
+  a_clamped[31] &= 127;
+  a_clamped[31] |= 64;
+  k.scalar = sc_reduce(a_clamped);
+  std::memcpy(k.prefix.data(), h.data() + 32, 32);
+  return a_clamped;
 }
 
-Signature ed25519_sign(const SecretSeed& seed, std::span<const std::uint8_t> msg) {
-  obs::ScopedProfile prof(obs::ProfileSite::kEd25519Sign, msg.size());
-  const ExpandedKey k = expand(seed);
-  const PublicKey a_enc = ge_to_bytes(ge_scalarmult_base(k.a_clamped));
+}  // namespace
 
+Ed25519SigningKey ed25519_expand(const SecretSeed& seed) {
+  Ed25519SigningKey k;
+  k.pub = ge_to_bytes(ge_scalarmult_base(expand_into(k, seed)));
+  return k;
+}
+
+Ed25519SigningKey ed25519_expand(const SecretSeed& seed, const PublicKey& pub) {
+  Ed25519SigningKey k;
+  expand_into(k, seed);
+  k.pub = pub;
+  return k;
+}
+
+PublicKey ed25519_public_key(const SecretSeed& seed) {
+  return ed25519_expand(seed).pub;
+}
+
+Signature ed25519_sign(const Ed25519SigningKey& key,
+                       std::span<const std::uint8_t> msg) {
+  obs::ScopedProfile prof(obs::ProfileSite::kEd25519Sign, msg.size());
   Sha512 h1;
-  h1.update(std::span<const std::uint8_t>(k.prefix.data(), 32));
+  h1.update(std::span<const std::uint8_t>(key.prefix.data(), 32));
   h1.update(msg);
   const Sc r = sc_reduce(h1.finalize());
 
@@ -807,19 +893,20 @@ Signature ed25519_sign(const SecretSeed& seed, std::span<const std::uint8_t> msg
 
   Sha512 h2;
   h2.update(std::span<const std::uint8_t>(r_enc.data(), 32));
-  h2.update(std::span<const std::uint8_t>(a_enc.data(), 32));
+  h2.update(std::span<const std::uint8_t>(key.pub.data(), 32));
   h2.update(msg);
   const Sc kchal = sc_reduce(h2.finalize());
-
-  const Sc a_mod_l =
-      sc_reduce(std::span<const std::uint8_t>(k.a_clamped.data(), 32));
-  const Sc s = sc_add(r, sc_mul(kchal, a_mod_l));
+  const Sc s = sc_add(r, sc_mul(kchal, key.scalar));
 
   Signature sig;
   std::memcpy(sig.data(), r_enc.data(), 32);
   const auto s_enc = sc_to_bytes(s);
   std::memcpy(sig.data() + 32, s_enc.data(), 32);
   return sig;
+}
+
+Signature ed25519_sign(const SecretSeed& seed, std::span<const std::uint8_t> msg) {
+  return ed25519_sign(ed25519_expand(seed), msg);
 }
 
 bool ed25519_verify(const PublicKey& pub, std::span<const std::uint8_t> msg,

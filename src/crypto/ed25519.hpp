@@ -24,7 +24,8 @@ using Signature = std::array<std::uint8_t, 64>;
 // Derives the public key for a 32-byte secret seed.
 PublicKey ed25519_public_key(const SecretSeed& seed);
 
-// Produces a deterministic RFC 8032 signature over `msg`.
+// Produces a deterministic RFC 8032 signature over `msg`. Expands the seed on
+// every call; a repeat signer holds an Ed25519SigningKey instead (below).
 Signature ed25519_sign(const SecretSeed& seed, std::span<const std::uint8_t> msg);
 
 // Verifies a signature; returns false for malformed points, non-canonical
@@ -87,6 +88,12 @@ Ge ge_scalarmult_base(const std::array<std::uint8_t, 32>& scalar) noexcept;
 Ge ge_double_scalarmult_base_vartime(const std::array<std::uint8_t, 32>& a,
                                      const Ge& A,
                                      const std::array<std::uint8_t, 32>& b) noexcept;
+// Width-w non-adjacent form of a 256-bit little-endian scalar, 2 <= w <= 8:
+// odd digits naf[i] with |naf[i]| <= 2^(w-1) - 1, at least w-1 zeros after
+// every nonzero digit, and sum naf[i] * 2^i == scalar (naf[256] takes the
+// final carry). One pass over the scalar's 64-bit words.
+void wnaf(std::int8_t naf[257], const std::array<std::uint8_t, 32>& scalar,
+          int w) noexcept;
 std::array<std::uint8_t, 32> ge_to_bytes(const Ge& p) noexcept;
 std::optional<Ge> ge_from_bytes(const std::array<std::uint8_t, 32>& b) noexcept;
 bool ge_eq(const Ge& p, const Ge& q) noexcept;
@@ -97,7 +104,8 @@ struct Sc {
 };
 
 Sc sc_zero() noexcept;
-// Reduces a little-endian byte string (up to 64 bytes) modulo L.
+// Reduces a little-endian byte string of any length modulo L, 32 bits at a
+// time from the top.
 Sc sc_reduce(std::span<const std::uint8_t> bytes_le) noexcept;
 Sc sc_add(const Sc& a, const Sc& b) noexcept;
 Sc sc_mul(const Sc& a, const Sc& b) noexcept;
@@ -107,6 +115,24 @@ std::array<std::uint8_t, 32> sc_to_bytes(const Sc& a) noexcept;
 bool sc_is_canonical(const std::array<std::uint8_t, 32>& b) noexcept;
 
 }  // namespace detail
+
+// A secret seed expanded once (RFC 8032 Sec. 5.1.5). Signing with it skips
+// the per-call SHA-512 of the seed, the fixed-base multiply a*B and the
+// inversion that encodes A; signatures are byte-identical to
+// ed25519_sign(seed, msg).
+struct Ed25519SigningKey {
+  detail::Sc scalar;                    // clamped a, reduced mod L
+  std::array<std::uint8_t, 32> prefix;  // upper half of SHA-512(seed)
+  PublicKey pub;                        // encoding of A = a*B
+};
+
+Ed25519SigningKey ed25519_expand(const SecretSeed& seed);
+// Same key from a public key derived earlier, without recomputing a*B and
+// its encoding: `pub` must be ed25519_public_key(seed).
+Ed25519SigningKey ed25519_expand(const SecretSeed& seed, const PublicKey& pub);
+
+Signature ed25519_sign(const Ed25519SigningKey& key,
+                       std::span<const std::uint8_t> msg);
 
 // A public key decompressed once and reused across verifications. The
 // expensive half of a cold verify is reconstructing A from its 32-byte

@@ -26,15 +26,19 @@ KeyPair derive_keypair(std::uint64_t id_seed, SignatureMode mode) {
   return kp;
 }
 
+Signer::Signer(KeyPair kp, SignatureMode mode) : pub_(kp.pub), mode_(mode) {
+  if (mode_ == SignatureMode::kEd25519) key_ = ed25519_expand(kp.seed, kp.pub);
+}
+
 Signature Signer::sign(std::span<const std::uint8_t> msg) const {
-  if (mode_ == SignatureMode::kEd25519) return ed25519_sign(kp_.seed, msg);
+  if (mode_ == SignatureMode::kEd25519) return ed25519_sign(key_, msg);
   // kSimFast: 64-byte keyed hash. Keyed by the *public* key so that any node
   // in the simulation can verify without access to the seed; this loses
   // unforgeability but simulated adversaries never forge signatures in the
   // paper's model (they equivocate or stay silent instead).
   Sha512 h;
   h.update("simfast-sig");
-  h.update(std::span<const std::uint8_t>(kp_.pub.data(), kp_.pub.size()));
+  h.update(std::span<const std::uint8_t>(pub_.data(), pub_.size()));
   h.update(msg);
   return h.finalize();
 }

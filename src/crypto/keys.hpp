@@ -33,9 +33,12 @@ KeyPair derive_keypair(std::uint64_t id_seed, SignatureMode mode);
 
 class Signer {
  public:
-  Signer(KeyPair kp, SignatureMode mode) : kp_(kp), mode_(mode) {}
+  // In kEd25519 mode the seed is expanded here, once, and kp.pub serves as
+  // the encoded A: sign() skips the per-call SHA-512 of the seed, a*B and
+  // the encoding of A. kp must come from derive_keypair (pub matches seed).
+  Signer(KeyPair kp, SignatureMode mode);
 
-  const PublicKey& public_key() const noexcept { return kp_.pub; }
+  const PublicKey& public_key() const noexcept { return pub_; }
   SignatureMode mode() const noexcept { return mode_; }
 
   Signature sign(std::span<const std::uint8_t> msg) const;
@@ -46,8 +49,9 @@ class Signer {
                      std::span<const std::uint8_t> msg, const Signature& sig);
 
  private:
-  KeyPair kp_;
+  PublicKey pub_;
   SignatureMode mode_;
+  Ed25519SigningKey key_{};  // expanded seed; unused in kSimFast mode
 };
 
 }  // namespace lo::crypto

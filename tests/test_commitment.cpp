@@ -5,6 +5,7 @@
 #include "core/commitment.hpp"
 #include "core/commitment_log.hpp"
 #include "core/transaction.hpp"
+#include "obs/profile.hpp"
 #include "util/rng.hpp"
 
 namespace lo::core {
@@ -133,6 +134,71 @@ TEST(CommitmentHeader, SignedAndVerifiable) {
   auto tampered = h;
   tampered.count = 6;
   EXPECT_FALSE(tampered.verify(kMode));
+}
+
+// make_header reuses the signature of a header already minted at the same
+// seqno, wire capacity and signer. Every header it returns, reused or fresh,
+// must carry exactly the signature a fresh sign of its bytes gives.
+void expect_signed_fresh(const CommitmentHeader& h, const crypto::Signer& s,
+                         const char* what) {
+  const auto msg = h.signing_bytes();
+  EXPECT_EQ(h.sig, s.sign(msg)) << what;
+  EXPECT_EQ(h.key, s.public_key()) << what;
+  EXPECT_TRUE(h.verify(s.mode())) << what;
+}
+
+std::uint64_t ed25519_signs() {
+  return obs::profile::counters(obs::ProfileSite::kEd25519Sign).calls;
+}
+
+TEST(CommitmentHeader, ReusedSignatureMatchesFreshSign) {
+  for (auto mode : {crypto::SignatureMode::kEd25519, crypto::SignatureMode::kSimFast}) {
+    CommitmentLog log(4, CommitmentParams{});
+    util::Rng rng(21);
+    log.append(random_txids(rng, 5), 1);
+    const crypto::Signer s(crypto::derive_keypair(4, mode), mode);
+    const auto first = log.make_header(s, 16);
+    const auto again = log.make_header(s, 16);
+    EXPECT_EQ(again.sig, first.sig);
+    EXPECT_EQ(again.serialize(), first.serialize());
+    expect_signed_fresh(again, s, "same seqno and capacity");
+    expect_signed_fresh(log.make_header(s, 24), s, "other capacity");
+    expect_signed_fresh(log.make_header(s), s, "full capacity");
+    expect_signed_fresh(log.make_header(s, 16), s, "first capacity again");
+    // Another signer over the same log state gets its own signature.
+    const crypto::Signer other(crypto::derive_keypair(5, mode), mode);
+    expect_signed_fresh(log.make_header(other, 16), other, "other signer");
+    // An append moves the seqno: the next header is signed afresh.
+    log.append(random_txids(rng, 2), 1);
+    const auto after = log.make_header(s, 16);
+    EXPECT_EQ(after.seqno, 2u);
+    EXPECT_NE(after.sig, first.sig);
+    expect_signed_fresh(after, s, "after append");
+    // An append of nothing new leaves the seqno, and the reuse, in place.
+    log.append(std::vector<TxId>(log.order().begin(), log.order().end()), 1);
+    EXPECT_EQ(log.make_header(s, 16).sig, after.sig);
+  }
+}
+
+TEST(CommitmentHeader, ReusedSignatureNeverReachesSigner) {
+  CommitmentLog log(4, CommitmentParams{});
+  util::Rng rng(22);
+  log.append(random_txids(rng, 5), 1);
+  const crypto::Signer s(crypto::derive_keypair(4, crypto::SignatureMode::kEd25519),
+                         crypto::SignatureMode::kEd25519);
+  const bool was_enabled = obs::profile::enabled();
+  obs::profile::set_enabled(true);
+  const auto start = ed25519_signs();
+  log.make_header(s, 16);
+  log.make_header(s, 16);
+  log.make_header(s, 16);
+  EXPECT_EQ(ed25519_signs() - start, 1u);
+  log.make_header(s, 32);
+  EXPECT_EQ(ed25519_signs() - start, 2u);
+  log.append(random_txids(rng, 1), 1);
+  log.make_header(s, 16);
+  EXPECT_EQ(ed25519_signs() - start, 3u);
+  obs::profile::set_enabled(was_enabled);
 }
 
 TEST(CommitmentHeader, SerializeRoundTrip) {

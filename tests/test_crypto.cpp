@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <span>
 #include <string>
 #include <vector>
@@ -416,6 +417,290 @@ TEST(Ed25519Internals, ScalarMulAddConsistency) {
   };
   const Sc lhs = sc_add(sc_mul(sc_from_u64(3), sc_from_u64(5)), sc_from_u64(2));
   EXPECT_EQ(sc_to_bytes(lhs), sc_to_bytes(sc_from_u64(17)));
+}
+
+// The bit-serial reduction the library used before the limb-wise one:
+// Horner over bits, MSB first, r = 2r + bit (mod L) with r < L throughout.
+// Obviously correct and slow; the differential oracle for sc_reduce/sc_mul.
+std::array<std::uint8_t, 32> sc_reduce_bitserial(
+    std::span<const std::uint8_t> bytes_le) {
+  using u64 = std::uint64_t;
+  constexpr u64 kL[4] = {0x5812631a5cf5d3edULL, 0x14def9dea2f79cd6ULL, 0ULL,
+                         0x1000000000000000ULL};
+  u64 r[4] = {};
+  auto geq_l = [&] {
+    for (int i = 3; i >= 0; --i) {
+      if (r[i] != kL[i]) return r[i] > kL[i];
+    }
+    return true;
+  };
+  for (int i = static_cast<int>(bytes_le.size()) * 8 - 1; i >= 0; --i) {
+    u64 carry = (bytes_le[static_cast<std::size_t>(i) / 8] >> (i % 8)) & 1;
+    for (auto& limb : r) {
+      const u64 next = (limb << 1) | carry;
+      carry = limb >> 63;
+      limb = next;
+    }
+    if (geq_l()) {
+      u64 borrow = 0;
+      for (int j = 0; j < 4; ++j) {
+        const unsigned __int128 d =
+            (unsigned __int128)r[j] - kL[j] - borrow;
+        r[j] = static_cast<u64>(d);
+        borrow = static_cast<u64>(d >> 127);
+      }
+    }
+  }
+  std::array<std::uint8_t, 32> out;
+  for (int i = 0; i < 32; ++i) {
+    out[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(r[i / 8] >> (8 * (i % 8)));
+  }
+  return out;
+}
+
+TEST(Ed25519Internals, ScalarReduceMatchesBitSerialOnEdgeValues) {
+  using namespace detail;
+  const char* l = "edd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010";
+  std::vector<std::vector<std::uint8_t>> cases;
+  cases.push_back({});                                       // empty: 0
+  cases.push_back(std::vector<std::uint8_t>(32, 0));         // 0
+  cases.push_back(std::vector<std::uint8_t>(64, 0));         // 0, 64 bytes
+  auto lm1 = util::from_hex(l);
+  lm1[0] -= 1;
+  cases.push_back(lm1);                                      // L - 1
+  cases.push_back(util::from_hex(l));                        // L
+  auto lp1 = util::from_hex(l);
+  lp1[0] += 1;
+  cases.push_back(lp1);                                      // L + 1
+  std::vector<std::uint8_t> two252(32, 0);
+  two252[31] = 0x10;
+  cases.push_back(two252);                                   // 2^252
+  cases.push_back(std::vector<std::uint8_t>(32, 0xff));      // 2^256 - 1
+  cases.push_back(std::vector<std::uint8_t>(64, 0xff));      // 2^512 - 1
+  auto l_times_2 = util::from_hex(l);                        // 2L, 2L - 1
+  unsigned carry = 0;
+  for (auto& b : l_times_2) {
+    const unsigned v = 2u * b + carry;
+    b = static_cast<std::uint8_t>(v);
+    carry = v >> 8;
+  }
+  cases.push_back(l_times_2);
+  l_times_2[0] -= 1;
+  cases.push_back(l_times_2);
+  for (std::size_t n = 1; n <= 64; ++n) {                    // every length
+    cases.push_back(std::vector<std::uint8_t>(n, 0xff));
+  }
+  for (const auto& c : cases) {
+    EXPECT_EQ(to_hex(sc_to_bytes(sc_reduce(c))), to_hex(sc_reduce_bitserial(c)))
+        << "input " << to_hex(c);
+  }
+  EXPECT_EQ(sc_to_bytes(sc_reduce(util::from_hex(l))), sc_to_bytes(sc_zero()));
+  EXPECT_EQ(sc_to_bytes(sc_reduce(lm1)),
+            (std::array<std::uint8_t, 32>{0xec, 0xd3, 0xf5, 0x5c, 0x1a, 0x63,
+                                          0x12, 0x58, 0xd6, 0x9c, 0xf7, 0xa2,
+                                          0xde, 0xf9, 0xde, 0x14, 0, 0, 0, 0,
+                                          0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                          0x10}));
+}
+
+TEST(Ed25519Internals, ScalarReduceMatchesBitSerialOnRandomInputs) {
+  using namespace detail;
+  util::Rng rng(0x5c4ed);
+  for (std::size_t len : {32u, 64u}) {
+    for (int iter = 0; iter < 100000; ++iter) {
+      std::uint8_t b[64];
+      for (std::size_t i = 0; i < len; ++i) b[i] = static_cast<std::uint8_t>(rng.next());
+      const std::span<const std::uint8_t> in(b, len);
+      const auto got = sc_to_bytes(sc_reduce(in));
+      const auto want = sc_reduce_bitserial(in);
+      ASSERT_EQ(got, want) << "len " << len << " input "
+                           << to_hex(std::vector<std::uint8_t>(b, b + len));
+    }
+  }
+}
+
+TEST(Ed25519Internals, ScalarMulMatchesBitSerialReductionOfProduct) {
+  using namespace detail;
+  util::Rng rng(0x5c3a1);
+  auto random_sc = [&] {
+    std::uint8_t b[64];
+    for (auto& x : b) x = static_cast<std::uint8_t>(rng.next());
+    return sc_reduce(std::span<const std::uint8_t>(b, 64));
+  };
+  for (int iter = 0; iter < 20000; ++iter) {
+    const Sc a = random_sc();
+    const Sc b = random_sc();
+    // 512-bit product, byte-wise schoolbook.
+    const auto ab = sc_to_bytes(a);
+    const auto bb = sc_to_bytes(b);
+    std::uint32_t acc[64] = {};
+    for (int i = 0; i < 32; ++i) {
+      for (int j = 0; j < 32; ++j) acc[i + j] += static_cast<std::uint32_t>(ab[static_cast<std::size_t>(i)]) * bb[static_cast<std::size_t>(j)];
+    }
+    std::uint8_t prod[64];
+    std::uint64_t carry = 0;
+    for (int i = 0; i < 64; ++i) {
+      const std::uint64_t v = acc[i] + carry;
+      prod[i] = static_cast<std::uint8_t>(v);
+      carry = v >> 8;
+    }
+    ASSERT_EQ(sc_to_bytes(sc_mul(a, b)),
+              sc_reduce_bitserial(std::span<const std::uint8_t>(prod, 64)));
+  }
+}
+
+// Expands a width-w NAF back to the low 257 bits of its value (two's
+// complement over five 64-bit words) by Horner from the top digit.
+std::array<std::uint64_t, 5> wnaf_value(const std::int8_t naf[257]) {
+  std::array<std::uint64_t, 5> v{};
+  for (int i = 256; i >= 0; --i) {
+    std::uint64_t carry = 0;
+    for (auto& word : v) {
+      const std::uint64_t next = (word << 1) | carry;
+      carry = word >> 63;
+      word = next;
+    }
+    // Add the sign-extended digit.
+    const std::uint64_t ext = naf[i] < 0 ? ~0ULL : 0;
+    unsigned __int128 s = (unsigned __int128)v[0] +
+                          static_cast<std::uint64_t>(static_cast<std::int64_t>(naf[i]));
+    v[0] = static_cast<std::uint64_t>(s);
+    for (int j = 1; j < 5; ++j) {
+      s = (unsigned __int128)v[j] + ext + static_cast<std::uint64_t>(s >> 64);
+      v[j] = static_cast<std::uint64_t>(s);
+    }
+  }
+  return v;
+}
+
+TEST(Ed25519Internals, WnafDigitsAreOddBoundedSparseAndSumToScalar) {
+  using namespace detail;
+  util::Rng rng(0x3a5f);
+  std::vector<std::array<std::uint8_t, 32>> scalars;
+  scalars.push_back({});
+  std::array<std::uint8_t, 32> ones;
+  ones.fill(0xff);
+  scalars.push_back(ones);  // carries out of bit 255 into naf[256]
+  std::array<std::uint8_t, 32> one{};
+  one[0] = 1;
+  scalars.push_back(one);
+  for (int i = 0; i < 2000; ++i) {
+    std::array<std::uint8_t, 32> s;
+    for (auto& b : s) b = static_cast<std::uint8_t>(rng.next());
+    if (i % 2) s[31] &= 0x1f;  // below 2^253, like every verify scalar
+    scalars.push_back(s);
+  }
+  for (int w = 2; w <= 8; ++w) {
+    const int bound = (1 << (w - 1)) - 1;
+    for (const auto& s : scalars) {
+      std::int8_t naf[257];
+      wnaf(naf, s, w);
+      std::array<std::uint64_t, 5> want{};
+      for (int i = 0; i < 32; ++i) {
+        want[static_cast<std::size_t>(i / 8)] |=
+            static_cast<std::uint64_t>(s[static_cast<std::size_t>(i)]) << (8 * (i % 8));
+      }
+      auto got = wnaf_value(naf);
+      got[4] &= 1;  // bit 256; the words above carry only sign extension
+      ASSERT_EQ(got, want) << "w=" << w << " scalar " << to_hex(s);
+      for (int i = 0; i < 257; ++i) {
+        if (naf[i] == 0) continue;
+        ASSERT_EQ(naf[i] & 1, 1) << "even digit at " << i << " w=" << w;
+        ASSERT_LE(std::abs(naf[i]), bound) << "at " << i << " w=" << w;
+        for (int j = i + 1; j < i + w && j < 257; ++j) {
+          ASSERT_EQ(naf[j], 0) << "digit " << j << " within w of " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(Ed25519Internals, DoubleScalarMultMatchesGenericOnRandomScalars) {
+  using namespace detail;
+  util::Rng rng(0xd5e);
+  auto random_scalar = [&] {
+    std::array<std::uint8_t, 32> s;
+    for (auto& b : s) b = static_cast<std::uint8_t>(rng.next());
+    return s;
+  };
+  std::array<std::uint8_t, 32> one{};
+  one[0] = 1;
+  const Ge base = ge_scalarmult_base(one);
+  std::array<std::uint8_t, 32> ones;
+  ones.fill(0xff);
+  for (int iter = 0; iter < 40; ++iter) {
+    const Ge A = ge_scalarmult_base(random_scalar());
+    auto a = random_scalar();
+    auto b = random_scalar();
+    if (iter == 0) a = b = ones;
+    if (iter == 1) a = std::array<std::uint8_t, 32>{};
+    if (iter == 2) b = std::array<std::uint8_t, 32>{};
+    const Ge want = ge_add(ge_scalarmult(A, a), ge_scalarmult(base, b));
+    const Ge got = ge_double_scalarmult_base_vartime(a, A, b);
+    EXPECT_TRUE(ge_eq(got, want)) << "iter " << iter;
+    EXPECT_EQ(ge_to_bytes(got), ge_to_bytes(want)) << "iter " << iter;
+  }
+}
+
+// ----------------------------------------------------- signing key ----
+
+TEST_P(Rfc8032Test, SigningKeyPathsMatchVector) {
+  const auto& v = GetParam();
+  const auto seed = from_hex_fixed<32>(v.seed);
+  const auto msg = util::from_hex(v.msg_hex);
+  const auto key = ed25519_expand(seed);
+  EXPECT_EQ(to_hex(key.pub), v.pub);
+  EXPECT_EQ(to_hex(ed25519_sign(key, msg)), v.sig);
+  const Signer signer(KeyPair{seed, from_hex_fixed<32>(v.pub)},
+                      SignatureMode::kEd25519);
+  EXPECT_EQ(to_hex(signer.sign(msg)), v.sig);
+}
+
+TEST(Ed25519SigningKey, SignerAndExpandedKeyMatchSeedPath) {
+  util::Rng rng(0x5161);
+  for (std::uint64_t id = 0; id < 200; ++id) {
+    const auto kp = derive_keypair(id, SignatureMode::kEd25519);
+    const Signer signer(kp, SignatureMode::kEd25519);
+    const auto key = ed25519_expand(kp.seed);
+    EXPECT_EQ(key.pub, kp.pub);
+    const auto from_pub = ed25519_expand(kp.seed, kp.pub);
+    EXPECT_EQ(detail::sc_to_bytes(from_pub.scalar), detail::sc_to_bytes(key.scalar));
+    EXPECT_EQ(from_pub.prefix, key.prefix);
+    for (std::size_t len : {0u, 1u, 64u, 250u, 1000u}) {
+      std::vector<std::uint8_t> msg(len);
+      for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next());
+      const auto want = ed25519_sign(kp.seed, msg);
+      ASSERT_EQ(signer.sign(msg), want) << "key " << id << " len " << len;
+      ASSERT_EQ(ed25519_sign(key, msg), want) << "key " << id << " len " << len;
+      ASSERT_TRUE(ed25519_verify(kp.pub, msg, want));
+    }
+  }
+}
+
+// Pinned answers computed with the bit-serial scalar reduction and the
+// sliding-window recoding this implementation replaced: SHA-256 over the
+// public keys, and over the signatures, of 200 random seeds, each signing
+// random messages of 0, 1, 33, 250 and 1027 bytes.
+TEST(Ed25519SigningKey, SignaturesMatchPinnedDigests) {
+  util::Rng rng(0x5167ed);
+  Sha256 pubs, sigs;
+  for (int k = 0; k < 200; ++k) {
+    SecretSeed seed;
+    for (auto& b : seed) b = static_cast<std::uint8_t>(rng.next());
+    const Signer signer(KeyPair{seed, ed25519_public_key(seed)},
+                        SignatureMode::kEd25519);
+    pubs.update(std::span<const std::uint8_t>(signer.public_key().data(), 32));
+    for (std::size_t len : {0u, 1u, 33u, 250u, 1027u}) {
+      std::vector<std::uint8_t> msg(len);
+      for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next());
+      const auto sig = signer.sign(msg);
+      sigs.update(std::span<const std::uint8_t>(sig.data(), 64));
+    }
+  }
+  EXPECT_EQ(to_hex(pubs.finalize()),
+            "56141de01c408264f2e8e9519a519baa6693fa417ba7be7c7250845a7d7d7c21");
+  EXPECT_EQ(to_hex(sigs.finalize()),
+            "2eace7c041507a53f5d7d6bd0f849126e8f097b6f7c29e5ef89307c95e814181");
 }
 
 // ----------------------------------------------------------------- keys ----

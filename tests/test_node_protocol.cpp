@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "harness/lo_network.hpp"
+#include "obs/profile.hpp"
 
 namespace lo {
 namespace {
@@ -286,6 +287,52 @@ TEST(NodeProtocol, RotationDropsExposedPeers) {
   EXPECT_GT(exposed_at, 0u);
   EXPECT_EQ(still_linked, 0u)
       << "rotation must purge exposed peers from neighbor sets";
+}
+
+// Every inspector asking for one of our bundles is sent the signature the
+// first request minted; the signer runs once per (shard, seqno), and the
+// reused signature verifies at each receiver.
+TEST(NodeProtocol, OwnBundleSignedOncePerSeqno) {
+  constexpr auto kEd = crypto::SignatureMode::kEd25519;
+  auto cfg = tiny(3, 14);
+  cfg.node.sig_mode = kEd;
+  cfg.node.prevalidation.sig_mode = kEd;
+  harness::LoNetwork net(cfg);
+  crypto::Signer client(crypto::derive_keypair(7777, kEd), kEd);
+  const auto tx1 = core::make_transaction(client, 1, 100, 0);
+  const auto tx2 = core::make_transaction(client, 2, 100, 0);
+  net.node(0).submit_transaction(tx1);
+  net.node(0).submit_transaction(tx2);
+  ASSERT_EQ(net.node(0).log().seqno(), 2u);
+
+  auto request = [](std::vector<std::uint64_t> seqnos) {
+    auto req = std::make_shared<core::BundleRequest>();
+    req->creator = 0;
+    req->seqnos = std::move(seqnos);
+    return req;
+  };
+  auto signs = [] {
+    return obs::profile::counters(obs::ProfileSite::kEd25519Sign).calls;
+  };
+  const bool was_enabled = obs::profile::enabled();
+  obs::profile::set_enabled(true);
+  const auto start = signs();
+  net.node(0).on_message(1, request({1}));
+  EXPECT_EQ(signs() - start, 1u);
+  net.node(0).on_message(2, request({1}));
+  EXPECT_EQ(signs() - start, 1u) << "seqno 1 signed again";
+  net.node(0).on_message(2, request({1, 2}));
+  EXPECT_EQ(signs() - start, 2u);
+  obs::profile::set_enabled(was_enabled);
+
+  // Unsolicited responses are stored only when their signature verifies.
+  net.run_for(1.0);
+  for (std::size_t i : {1u, 2u}) {
+    const auto mirror = net.node(i).mirror_of(0);
+    ASSERT_EQ(mirror.count(1), 1u) << "node " << i;
+    EXPECT_EQ(mirror.at(1), net.node(0).log().bundle_by_seqno(1)->txids);
+  }
+  EXPECT_EQ(net.node(2).mirror_of(0).count(2), 1u);
 }
 
 }  // namespace

@@ -200,6 +200,13 @@ struct SerdeParam {
   std::size_t appends;
 };
 
+// A stable instance name; the default byte dump includes the struct's
+// uninitialised padding.
+void PrintTo(const SerdeParam& p, std::ostream* os) {
+  *os << "cap=" << p.sketch_capacity << " cells=" << p.clock_cells
+      << " hashes=" << p.clock_hashes << " appends=" << p.appends;
+}
+
 class CommitmentSerdeProperty : public ::testing::TestWithParam<SerdeParam> {};
 
 TEST_P(CommitmentSerdeProperty, RoundTripAndVerify) {
