@@ -15,13 +15,10 @@
 // visible in the same dashboard.
 #include <algorithm>
 #include <chrono>
-#include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "crypto/sha256.hpp"
 #include "minisketch/partitioned.hpp"
 #include "obs/profile.hpp"
 
@@ -104,102 +101,6 @@ MembershipRow run_membership_leg(std::size_t n, double seconds,
   return row;
 }
 
-// ---- parallel engine leg (BENCH_parallel_sim.json) ----
-// Raw-simulator gossip storm: many cheap node-context events, two-way
-// cross-shard traffic, no protocol logic — so the wall-clock ratio between
-// worker counts measures the engine (window scheduling, inbox merge,
-// barrier flush), not LØ. The per-worker-count digests must agree exactly;
-// a mismatch fails the smoke run because it would mean the parallel engine
-// diverged from the serial schedule (DESIGN.md §4e).
-
-struct GossipPing final : lo::sim::Payload {
-  const char* type_name() const noexcept override { return "bench.gossip"; }
-  std::size_t wire_size() const noexcept override { return 96; }
-};
-
-class GossipBenchNode final : public lo::sim::INode {
- public:
-  GossipBenchNode(lo::sim::Simulator& sim, lo::sim::NodeId id, std::size_t n)
-      : sim_(sim), id_(id), n_(n) {}
-
-  void on_start() override { arm_tick(); }
-
-  void on_message(lo::sim::NodeId from, const lo::sim::PayloadPtr&) override {
-    ++received_;
-    // Occasional reply hop keeps the traffic two-way across shards.
-    if (sim_.node_rng(id_).next_below(8) == 0) {
-      sim_.send(id_, from, std::make_shared<GossipPing>());
-    }
-  }
-
-  std::uint64_t digest() const noexcept {
-    return ticks_ * 0x9e3779b97f4a7c15ULL ^ received_;
-  }
-
- private:
-  void arm_tick() {
-    const auto jitter = static_cast<lo::sim::Duration>(
-        sim_.node_rng(id_).next_below(4 * lo::sim::kMillisecond));
-    sim_.schedule_for(id_, 10 * lo::sim::kMillisecond + jitter,
-                      [this] { tick(); });
-  }
-
-  void tick() {
-    ++ticks_;
-    for (int k = 0; k < 3; ++k) {
-      const auto peer = static_cast<lo::sim::NodeId>(
-          sim_.node_rng(id_).next_below(static_cast<std::uint64_t>(n_)));
-      if (peer != id_) sim_.send(id_, peer, std::make_shared<GossipPing>());
-    }
-    arm_tick();
-  }
-
-  lo::sim::Simulator& sim_;
-  lo::sim::NodeId id_;
-  std::size_t n_;
-  std::uint64_t ticks_ = 0;
-  std::uint64_t received_ = 0;
-};
-
-struct ParallelRow {
-  double wall_s = 0.0;
-  std::size_t events = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t digest = 0;
-};
-
-ParallelRow run_parallel_leg(std::size_t n, double seconds, std::uint64_t seed,
-                             unsigned workers) {
-  lo::sim::Simulator sim(seed);
-  // A real positive lower latency bound is what gives the engine its
-  // lookahead window; 2 ms of wire latency vs 10 ms tick period keeps the
-  // windows densely populated.
-  sim.set_latency_model(
-      std::make_shared<lo::sim::ConstantLatency>(2 * lo::sim::kMillisecond));
-  if (workers > 1) sim.set_workers(workers);
-  std::vector<std::unique_ptr<GossipBenchNode>> nodes;
-  nodes.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    nodes.push_back(std::make_unique<GossipBenchNode>(
-        sim, static_cast<lo::sim::NodeId>(i), n));
-    sim.add_node(nodes.back().get());
-  }
-  sim.start();
-  // lolint:allow(banned-source) reason=wall-clock stopwatch for the scaling column; never feeds protocol state or the simulation
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::size_t events = sim.run_until(lo::sim::from_seconds(seconds));
-  // lolint:allow(banned-source) reason=wall-clock stopwatch read for the scaling column; never feeds protocol state or the simulation
-  const auto t1 = std::chrono::steady_clock::now();
-  ParallelRow row;
-  row.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  row.events = events;
-  row.messages = sim.bandwidth().total_messages();
-  for (const auto& node : nodes) {
-    row.digest = row.digest * 1099511628211ULL ^ node->digest();
-  }
-  return row;
-}
-
 // ---- sharded pipeline leg (BENCH_sharding.json) ----
 // Storm workload against the Sedna-style sharded commitment pipeline
 // (DESIGN.md §7). The storm is sized so that the pairwise symmetric
@@ -209,18 +110,16 @@ ParallelRow run_parallel_leg(std::size_t n, double seconds, std::uint64_t seed,
 // composes decode capacity — k shards carry k independent sketches, so the
 // per-shard difference stays decodable and each exchange commits its whole
 // difference. Committed throughput must therefore scale with k (the gate is
-// >= 2x at k = 4 at the default scale), while same-seed digests stay
-// byte-identical across shard counts x worker counts.
+// >= 2x at k = 4 at the default scale).
 
 struct ShardingRow {
   double commits_per_node_s = 0.0;  // committed txs / correct node / sim-sec
   std::uint64_t injected = 0;
   double wall_s = 0.0;
-  std::string digest;  // commitment-state digest (W-equivalence check)
 };
 
 ShardingRow run_sharding_leg(std::size_t n, double seconds, std::uint64_t seed,
-                             std::uint32_t shards, unsigned workers) {
+                             std::uint32_t shards) {
   auto cfg = lo::bench::base_config(n, seed);
   cfg.node.mempool_shards = shards;
   // Saturation knobs: no signature checks (wire sizes unchanged); capacity
@@ -230,7 +129,6 @@ ShardingRow run_sharding_leg(std::size_t n, double seconds, std::uint64_t seed,
   cfg.node.verify_signatures = false;
   cfg.node.commitment.sketch_capacity = 64;
   cfg.node.max_delta = 48;
-  cfg.workers = workers;
   lo::harness::LoNetwork net(cfg);
   net.start_workload(lo::bench::base_workload(240.0, seed * 3), 1);
   // lolint:allow(banned-source) reason=wall-clock stopwatch for the bench table; never feeds protocol state or the simulation
@@ -243,31 +141,9 @@ ShardingRow run_sharding_leg(std::size_t n, double seconds, std::uint64_t seed,
   row.wall_s = std::chrono::duration<double>(t1 - t0).count();
   row.injected = net.txs_injected();
   std::uint64_t committed = 0;
-  lo::crypto::Sha256 h;
-  const auto fold_u64 = [&h](std::uint64_t v) {
-    std::uint8_t buf[8];
-    for (int i = 0; i < 8; ++i) buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    h.update(std::span<const std::uint8_t>(buf, 8));
-  };
-  fold_u64(row.injected);
-  fold_u64(static_cast<std::uint64_t>(net.sim().now()));
-  for (std::size_t i = 0; i < n; ++i) {
-    committed += net.node(i).total_committed();
-    fold_u64(net.node(i).mempool_size());
-    for (std::uint32_t s = 0; s < net.node(i).shard_count(); ++s) {
-      fold_u64(net.node(i).log(s).seqno());
-      const auto ch = net.node(i).log(s).chain_hash();
-      h.update(std::span<const std::uint8_t>(ch.data(), ch.size()));
-    }
-  }
+  for (std::size_t i = 0; i < n; ++i) committed += net.node(i).total_committed();
   row.commits_per_node_s = static_cast<double>(committed) /
                            static_cast<double>(n) / seconds;
-  const auto d = h.finalize();
-  static const char* kHex = "0123456789abcdef";
-  for (std::uint8_t byte : d) {
-    row.digest.push_back(kHex[byte >> 4]);
-    row.digest.push_back(kHex[byte & 0xf]);
-  }
   return row;
 }
 
@@ -409,47 +285,6 @@ int main(int argc, char** argv) {
       "adaptive syndromes undercut the fixed capacity on small differences\n"
       "while recovering the identical set.\n");
 
-  // ---- parallel engine scaling (BENCH_parallel_sim.json) ----
-  // Default scale (5000 nodes) sized for the CI runners; the smoke run's
-  // positional [num_nodes] keeps it toy-sized. Worker count 1 is the serial
-  // engine, so speedup is measured against the exact schedule the parallel
-  // runs must reproduce digest-for-digest.
-  const std::size_t par_n = args.num_nodes != 0 ? args.num_nodes : 5000;
-  const double par_seconds = args.seconds;
-  std::printf("\nparallel engine (%zu nodes, %.0fs horizon, gossip storm):\n",
-              par_n, par_seconds);
-  std::printf("  %-10s %-12s %-14s %-14s %-10s\n", "workers", "wall[s]",
-              "events", "msgs", "speedup");
-  lo::bench::JsonReport preport("BENCH_parallel_sim.json", "lo-parallel-sim");
-  double serial_wall = 0.0;
-  std::uint64_t serial_digest = 0;
-  for (unsigned workers : {1u, 2u, 4u}) {
-    const auto row = run_parallel_leg(par_n, par_seconds, args.seed, workers);
-    if (workers == 1) {
-      serial_wall = row.wall_s;
-      serial_digest = row.digest;
-    } else if (row.digest != serial_digest) {
-      std::fprintf(stderr,
-                   "parallel run (workers=%u) diverged from the serial "
-                   "schedule: digest %llx != %llx\n",
-                   workers, static_cast<unsigned long long>(row.digest),
-                   static_cast<unsigned long long>(serial_digest));
-      return 1;
-    }
-    const double speedup = row.wall_s > 0.0 ? serial_wall / row.wall_s : 0.0;
-    std::printf("  %-10u %-12.3f %-14zu %-14llu %-10.2f\n", workers,
-                row.wall_s, row.events,
-                static_cast<unsigned long long>(row.messages), speedup);
-    const std::string tag = "/w" + std::to_string(workers);
-    preport.add("parallel_sim/wall_s" + tag, row.wall_s * 1e9,
-                static_cast<double>(row.events) / std::max(row.wall_s, 1e-9));
-    preport.add("parallel_sim/speedup" + tag, row.wall_s * 1e9, speedup);
-  }
-  if (!preport.write()) return 1;
-  std::printf(
-      "\nexpected shape: near-linear event throughput up to the core count\n"
-      "(every run is digest-checked against the serial schedule).\n");
-
   // ---- sharded commitment pipeline (BENCH_sharding.json) ----
   const std::size_t shard_n = 16;
   const double shard_seconds = args.seconds;
@@ -462,8 +297,7 @@ int main(int argc, char** argv) {
   double k1_rate = 0.0;
   double k4_rate = 0.0;
   for (std::uint32_t k : {1u, 2u, 4u}) {
-    const auto row =
-        run_sharding_leg(shard_n, shard_seconds, args.seed, k, /*workers=*/1);
+    const auto row = run_sharding_leg(shard_n, shard_seconds, args.seed, k);
     if (k == 1) k1_rate = row.commits_per_node_s;
     if (k == 4) k4_rate = row.commits_per_node_s;
     const double speedup =
@@ -476,28 +310,6 @@ int main(int argc, char** argv) {
     sreport.add("sharding/commits_per_node_s" + tag, shard_seconds * 1e9,
                 row.commits_per_node_s);
     sreport.add("sharding/speedup_vs_k1" + tag, shard_seconds * 1e9, speedup);
-  }
-  // Determinism matrix: for each shard count the run is defined by (seed)
-  // alone — every worker count must land on the byte-identical commitment
-  // state. A mismatch fails the bench (and the CI smoke run) outright.
-  std::printf("  digest check: k in {1,4} x workers in {1,2,4,8}\n");
-  for (std::uint32_t k : {1u, 4u}) {
-    std::string serial_digest;
-    for (unsigned workers : {1u, 2u, 4u, 8u}) {
-      const auto row =
-          run_sharding_leg(shard_n, shard_seconds, args.seed, k, workers);
-      if (workers == 1) {
-        serial_digest = row.digest;
-      } else if (row.digest != serial_digest) {
-        std::fprintf(stderr,
-                     "sharded run (k=%u, workers=%u) diverged from the serial "
-                     "schedule: digest %s != %s\n",
-                     k, workers, row.digest.c_str(), serial_digest.c_str());
-        return 1;
-      }
-    }
-    std::printf("    k=%u: all worker counts byte-identical (%.16s...)\n", k,
-                serial_digest.c_str());
   }
   sreport.add("sharding/speedup_k4_vs_k1", shard_seconds * 1e9,
               k1_rate > 0.0 ? k4_rate / k1_rate : 0.0);

@@ -38,45 +38,36 @@ LoNetwork::LoNetwork(const NetworkConfig& config)
     }
   }
 
-  // LØ's own metric hooks, deferred through Simulator::post() like the
-  // shared admit hook (see Network's constructor).
+  // LØ's own metric hooks.
   hooks_.on_suspect = [this](core::NodeId node, core::NodeId suspect,
                              sim::TimePoint when) {
-    sim_.post([this, node, suspect, when] {
-      suspicion_events_.push_back(
-          BlameEvent{node, suspect, sim::to_seconds(when)});
-      if (anomaly_) anomaly_->on_suspicion();
-    });
+    suspicion_events_.push_back(
+        BlameEvent{node, suspect, sim::to_seconds(when)});
+    if (anomaly_) anomaly_->on_suspicion();
   };
   hooks_.on_reconcile = [this](core::NodeId, std::size_t, bool decode_ok) {
-    if (!anomaly_) return;  // read-only during the run; set before run_for()
-    sim_.post([this, decode_ok] { anomaly_->on_reconcile(decode_ok); });
+    if (anomaly_) anomaly_->on_reconcile(decode_ok);
   };
   hooks_.on_exposure = [this](core::NodeId node, core::NodeId accused,
                               sim::TimePoint when) {
-    sim_.post([this, node, accused, when] {
-      exposure_events_.push_back(
-          BlameEvent{node, accused, sim::to_seconds(when)});
-    });
+    exposure_events_.push_back(
+        BlameEvent{node, accused, sim::to_seconds(when)});
   };
   hooks_.on_member_state = [this](core::NodeId node, core::NodeId member,
                                   membership::MemberState state,
                                   sim::TimePoint when) {
-    sim_.post([this, node, member, state, when] {
-      member_events_.push_back(
-          MemberEvent{node, member, state, sim::to_seconds(when)});
-      // Crash -> confirmation latency: only counted while the member is in
-      // fact down (a confirm of a node that already restarted is stale news,
-      // not a detection). crash_time_s_ only changes in coordinator context,
-      // so reading it at the barrier sees exactly the serial engine's value.
-      if (state == membership::MemberState::kConfirmed &&
-          member < crash_time_s_.size() && crash_time_s_[member] >= 0.0) {
-        const double latency_s = sim::to_seconds(when) - crash_time_s_[member];
-        membership_detection_latency_.add(latency_s);
-        sim_.obs().registry.histogram("membership.detection_latency_s")
-            .observe(latency_s);
-      }
-    });
+    member_events_.push_back(
+        MemberEvent{node, member, state, sim::to_seconds(when)});
+    // Crash -> confirmation latency: only counted while the member is in
+    // fact down (a confirm of a node that already restarted is stale news,
+    // not a detection).
+    if (state == membership::MemberState::kConfirmed &&
+        member < crash_time_s_.size() && crash_time_s_[member] >= 0.0) {
+      const double latency_s = sim::to_seconds(when) - crash_time_s_[member];
+      membership_detection_latency_.add(latency_s);
+      sim_.obs().registry.histogram("membership.detection_latency_s")
+          .observe(latency_s);
+    }
   };
   crash_time_s_.assign(n, -1.0);
   ever_crashed_.assign(n, false);

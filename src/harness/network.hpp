@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "core/node.hpp"  // for core::Hooks
@@ -37,9 +38,10 @@ struct NetConfig {
   bool trace = false;
   std::size_t trace_capacity = 0;
 
-  // Simulator worker shards (>= 1). 1 keeps the serial engine; W > 1 runs
-  // the conservatively synchronized parallel engine — same-seed runs are
-  // byte-identical for every W (DESIGN.md §4e).
+  // Must be 1: the simulator is a single-threaded event loop, and any other
+  // value makes the Network constructor throw std::invalid_argument. Kept so
+  // existing configs that set it to 1 still compile; scale out by running
+  // seeds or replicas as separate processes.
   unsigned workers = 1;
 };
 
@@ -107,37 +109,31 @@ class Network {
   sim::Samples& mempool_latency() noexcept { return mempool_latency_; }
 
  protected:
-  // Scaffolding only: simulator, tracer, workers, latency model and the
-  // admit hook. A subclass draws whatever must precede the overlay from
-  // sim_.rng(), then calls build_topology() and add_nodes().
+  // Scaffolding only: simulator, tracer, latency model and the admit hook.
+  // A subclass draws whatever must precede the overlay from sim_.rng(),
+  // then calls build_topology() and add_nodes().
   explicit Network(const NetConfig& cfg) : sim_(cfg.seed) {
+    if (cfg.workers != 1) {
+      throw std::invalid_argument("NetConfig::workers must be 1");
+    }
     // Tracing goes live before nodes exist so construction-time events
     // (cache binds, first timers) land in the stream too.
     if (cfg.trace_capacity > 0) {
       sim_.obs().tracer.set_capacity(cfg.trace_capacity);
     }
     if (cfg.trace) sim_.obs().tracer.enable(true);
-    if (cfg.workers > 1) sim_.set_workers(cfg.workers);
     if (cfg.city_latency) {
       sim_.set_latency_model(std::make_shared<sim::CityLatencyModel>());
     } else {
       sim_.set_latency_model(
           std::make_shared<sim::ConstantLatency>(cfg.constant_latency));
     }
-    // Hook bodies mutate harness-global accumulators, which are outside the
-    // sharded node state — so each body is deferred through
-    // Simulator::post(): under the serial engine it runs inline, under the
-    // parallel engine it runs at the window barrier on the coordinator
-    // thread, in global event-key order (the exact order the serial engine
-    // would have used). Captures are plain values only.
     hooks_.on_mempool_admit = [this](core::NodeId, const core::Transaction& tx,
                                      sim::TimePoint when) {
-      const double latency_s = sim::to_seconds(when - tx.created_at);
-      const std::uint64_t tid = core::txid_short(tx.id);
-      sim_.post([this, latency_s, tid, when] {
-        mempool_latency_.add(latency_s);
-        if (anomaly_ && settle_on_admit_) anomaly_->on_settle(tid, when);
-      });
+      mempool_latency_.add(sim::to_seconds(when - tx.created_at));
+      if (anomaly_ && settle_on_admit_) {
+        anomaly_->on_settle(core::txid_short(tx.id), when);
+      }
     };
   }
 
@@ -188,8 +184,7 @@ class Network {
   core::Hooks hooks_;
   std::unique_ptr<AnomalyMonitor> anomaly_;
   std::size_t submit_fanout_ = 1;
-  // Whether a mempool admit settles a tx for the anomaly monitor (read at
-  // the barrier, written from coordinator context only).
+  // Whether a mempool admit settles a tx for the anomaly monitor.
   bool settle_on_admit_ = true;
 
  private:

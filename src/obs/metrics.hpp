@@ -118,9 +118,9 @@ class Registry {
 
   // Merges `other` into this registry: counters and histogram buckets add,
   // gauges add (the aggregate of per-node gauges is their sum — e.g. total
-  // mempool size). Same id with a different kind throws. This is the
-  // per-shard -> global aggregation path: workers merge snapshots of their
-  // private registries into a shared one, serialized by its mutex.
+  // mempool size). Same id with a different kind throws. Merges into a
+  // shared registry are serialized by its mutex, so threads may each fold
+  // in a snapshot of their private registry.
   void merge(const Snapshot& other);
 
   // bench_common-style JSON ({"context": {...}, "metrics": [...]}) and flat

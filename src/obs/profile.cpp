@@ -19,9 +19,9 @@ const char* profile_site_name(ProfileSite s) noexcept {
 
 namespace profile {
 
-// lolint:allow(mutable-static) reason=process-global profile table; slots are relaxed atomics so worker hits commute and publish() merges settled sums
+// lolint:allow(mutable-static) reason=process-global profile table; slots are relaxed atomics so hits from concurrent threads commute and publish() reads settled sums
 bool g_enabled = false;
-// lolint:allow(mutable-static) reason=process-global profile table; slots are relaxed atomics so worker hits commute and publish() merges settled sums
+// lolint:allow(mutable-static) reason=process-global profile table; slots are relaxed atomics so hits from concurrent threads commute and publish() reads settled sums
 std::array<AtomicProfileCounters, static_cast<std::size_t>(ProfileSite::kCount)>
     g_counters{};
 

@@ -41,20 +41,19 @@ struct ProfileCounters {
 
 namespace profile {
 
-// Relaxed atomic slots: the instrumented sites (verify, decode, reconcile)
-// run inside worker-sharded simulator events, so several workers may hit the
-// same site concurrently. Counts are pure sums — commutative — so relaxed
-// increments keep the published totals deterministic for a given seed no
-// matter how the workers interleave, and publish() (coordinator-only) reads
-// settled values across the window barrier.
+// Relaxed atomic slots: the table is process-global, and several simulators
+// (or other callers of the instrumented verify/decode/reconcile sites) may
+// run on different threads of one process. Counts are pure sums —
+// commutative — so relaxed increments keep the totals exact however those
+// threads interleave; publish() reads them once the runs have settled.
 struct AtomicProfileCounters {
   std::atomic<std::uint64_t> calls{0};
   std::atomic<std::uint64_t> items{0};
 };
 
-// lolint:allow(mutable-static) reason=process-global profile table; slots are relaxed atomics so worker hits commute and publish() merges settled sums
+// lolint:allow(mutable-static) reason=process-global profile table; slots are relaxed atomics so hits from concurrent threads commute and publish() reads settled sums
 extern bool g_enabled;
-// lolint:allow(mutable-static) reason=process-global profile table; slots are relaxed atomics so worker hits commute and publish() merges settled sums
+// lolint:allow(mutable-static) reason=process-global profile table; slots are relaxed atomics so hits from concurrent threads commute and publish() reads settled sums
 extern std::array<AtomicProfileCounters,
                   static_cast<std::size_t>(ProfileSite::kCount)>
     g_counters;

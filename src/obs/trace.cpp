@@ -135,41 +135,18 @@ std::uint64_t Tracer::dropped() const {
 }
 
 namespace {
-// Shard-worker redirect (see Tracer::ThreadSink). Thread-local by design:
-// each worker thread owns exactly one sink for the duration of a lookahead
-// window, installed and cleared by the simulator around the window body.
-thread_local Tracer::ThreadSink* t_sink = nullptr;
-// Current causal context (see Tracer::Cause). Thread-local by design: the
-// simulator sets it around every dispatch on the thread that executes it,
-// and derives it from simulator event keys, so the values a thread observes
-// are independent of which thread runs the dispatch.
+// Current causal context (see Tracer::Cause). Thread-local so that
+// simulators running on different threads never see each other's cause;
+// the simulator sets it around every dispatch from the event's key.
 thread_local Tracer::Cause t_cause;
 }  // namespace
-
-void Tracer::set_thread_sink(ThreadSink* sink) noexcept { t_sink = sink; }
-
-Tracer::ThreadSink* Tracer::thread_sink() noexcept { return t_sink; }
 
 void Tracer::set_thread_cause(Cause c) noexcept { t_cause = c; }
 
 Tracer::Cause Tracer::thread_cause() noexcept { return t_cause; }
 
-void Tracer::append(const TraceEvent& ev) {
-  MutexLock lock(mu_);
-  if (ring_.size() != capacity_) ring_.resize(capacity_);
-  if (count_ < capacity_) {
-    ring_[(head_ + count_) % capacity_] = ev;
-    ++count_;
-  } else {
-    ring_[head_] = ev;  // overwrite the oldest
-    head_ = (head_ + 1) % capacity_;
-    ++dropped_;
-  }
-}
-
 std::uint16_t Tracer::intern(std::string_view s) {
   if (s.empty()) return 0;
-  if (ThreadSink* sink = t_sink) return sink->sink_intern(s);
   MutexLock lock(mu_);
   auto it = intern_.find(s);
   if (it != intern_.end()) return it->second;
@@ -206,7 +183,16 @@ void Tracer::record(EventKind kind, std::uint32_t node, std::uint32_t peer,
   const Cause c = thread_cause();
   ev.span = c.span;
   ev.parent = c.parent;
-  append(ev);
+  MutexLock lock(mu_);
+  if (ring_.size() != capacity_) ring_.resize(capacity_);
+  if (count_ < capacity_) {
+    ring_[(head_ + count_) % capacity_] = ev;
+    ++count_;
+  } else {
+    ring_[head_] = ev;  // overwrite the oldest
+    head_ = (head_ + 1) % capacity_;
+    ++dropped_;
+  }
 }
 
 std::vector<TraceEvent> Tracer::events_locked() const {

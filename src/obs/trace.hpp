@@ -108,8 +108,8 @@ const char* reconcile_outcome_name(std::uint64_t r) noexcept;
 // the span of the dispatch that *caused* that dispatch (the send for a
 // delivery, the scheduling context for a timer), so send -> deliver ->
 // handle -> emit chains form a cross-node happens-before DAG. Span ids are
-// derived from simulator event keys, so they are identical across worker
-// counts; 0 means "no cause" (emitted outside any dispatch).
+// derived from simulator event keys, so they depend on the run's seed alone;
+// 0 means "no cause" (emitted outside any dispatch).
 struct TraceEvent {
   std::int64_t at = 0;  // simulator microseconds
   std::uint16_t kind = 0;
@@ -134,8 +134,7 @@ class Tracer {
 
   // The per-thread "current cause": the causal span of the dispatch the
   // calling thread is currently executing, and that dispatch's own parent.
-  // The simulator sets it around every event dispatch (serial and sharded
-  // paths both), emit() stamps it into each recorded event, and send/
+  // The simulator sets it around every event dispatch, emit() stamps it into each recorded event, and send/
   // schedule capture it as the parent of the events they create. Stored here
   // rather than in sim/ so obs stays independent of the scheduler.
   struct Cause {
@@ -176,34 +175,9 @@ class Tracer {
   void set_capacity(std::size_t capacity);
   std::size_t capacity() const;
 
-  // Per-thread redirect for the sharded parallel simulator. While a sink is
-  // installed on a thread, emit() and intern() on that thread route to the
-  // sink instead of the shared ring/intern table: workers record into
-  // shard-local buffers (with shard-local intern ids) and the simulator
-  // merges them into this tracer at the window barrier, in deterministic
-  // event-key order, remapping names through the canonical intern(). The
-  // registration is thread-local, so installing a sink never perturbs other
-  // threads or other tracers.
-  class ThreadSink {
-   public:
-    virtual ~ThreadSink() = default;
-    virtual void sink_event(EventKind kind, std::uint32_t node,
-                            std::uint32_t peer, std::uint64_t a,
-                            std::uint64_t b, std::uint16_t name,
-                            std::uint32_t aux) = 0;
-    virtual std::uint16_t sink_intern(std::string_view s) = 0;
-  };
-  static void set_thread_sink(ThreadSink* sink) noexcept;
-  static ThreadSink* thread_sink() noexcept;
-
-  // Appends a fully-formed event (timestamp already stamped by the caller)
-  // under the normal ring/overflow policy — the barrier merge path.
-  void append(const TraceEvent& ev);
-
   // Interns a string, returning its stable id. Ids are assigned in first-use
   // order (deterministic given deterministic call order); id 0 is "". Throws
-  // std::length_error past 65535 distinct strings. Routed through the
-  // thread sink when one is installed on the calling thread.
+  // std::length_error past 65535 distinct strings.
   std::uint16_t intern(std::string_view s);
   std::string name(std::uint16_t id) const;
   std::vector<std::string> names() const;
@@ -217,10 +191,6 @@ class Tracer {
             std::uint64_t a = 0, std::uint64_t b = 0, std::uint16_t name = 0,
             std::uint32_t aux = 0) {
     if (!enabled_) return;
-    if (ThreadSink* sink = thread_sink()) {
-      sink->sink_event(kind, node, peer, a, b, name, aux);
-      return;
-    }
     record(kind, node, peer, a, b, name, aux);
   }
 

@@ -23,20 +23,6 @@ void BandwidthAccountant::record(std::uint32_t from, const char* msg_class,
   total_messages_ += 1;
 }
 
-void BandwidthAccountant::merge(const BandwidthAccountant& other) {
-  ensure_nodes(other.per_node_bytes_.size());
-  for (std::size_t i = 0; i < other.per_node_bytes_.size(); ++i) {
-    per_node_bytes_[i] += other.per_node_bytes_[i];
-  }
-  for (const auto& [name, stats] : other.by_class_) {
-    auto& cls = by_class_[name];
-    cls.messages += stats.messages;
-    cls.bytes += stats.bytes;
-  }
-  total_bytes_ += other.total_bytes_;
-  total_messages_ += other.total_messages_;
-}
-
 std::uint64_t BandwidthAccountant::sent_by(std::uint32_t node) const {
   return node < per_node_bytes_.size() ? per_node_bytes_[node] : 0;
 }

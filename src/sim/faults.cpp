@@ -16,7 +16,6 @@ FaultInjector::FaultInjector(Simulator& sim, std::uint64_t seed, CrashFn crash,
   }
   c_crashes_ = &sim_.obs().registry.counter("faults.crashes_injected");
   c_restarts_ = &sim_.obs().registry.counter("faults.restarts_injected");
-  c_link_drops_h_ = sim_.register_shard_counter("faults.link_drops");
   c_link_drops_ = &sim_.obs().registry.counter("faults.link_drops");
   sim_.set_fault_filter(
       [this](NodeId from, NodeId to) { return !should_drop(from, to); });
@@ -110,10 +109,10 @@ bool FaultInjector::should_drop(NodeId from, NodeId to) {
     const bool match = (w.a == from && w.b == to) ||
                        (w.bidirectional && w.a == to && w.b == from);
     // The coin comes from the sender's stream, not the injector's: this
-    // runs inside send() on the sender's shard, and per-sender draws keep
-    // the sequence independent of how worker shards interleave.
+    // runs inside send(), and per-sender draws keep the sequence a function
+    // of that sender's own send history.
     if (match && sim_.node_rng(from).next_bool(w.drop_prob)) {
-      sim_.bump_shard_counter(c_link_drops_h_);
+      ++*c_link_drops_;
       return true;
     }
   }

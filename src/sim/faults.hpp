@@ -14,10 +14,9 @@
 // OWN Rng (not the simulator's), so adding or removing fault schedules never
 // perturbs the protocol's randomness stream; a schedule replays identically
 // regardless of what the workload does. The one exception is the per-message
-// flaky-link coin, which is flipped at send time inside worker-sharded
-// delivery code and therefore draws from the SENDER's node stream
-// (Simulator::node_rng) — the draw order then depends only on that sender's
-// send history, keeping parallel runs byte-identical to serial ones.
+// flaky-link coin, which is flipped at send time and therefore draws from the
+// SENDER's node stream (Simulator::node_rng), like every other send-time
+// draw — the draw order then depends only on that sender's send history.
 //
 // Crash/restart policy lives with the caller: the injector invokes the
 // CrashFn/RestartFn handlers (LoNetwork wires them to LoNode::crash/restart
@@ -123,13 +122,9 @@ class FaultInjector {
   ChurnConfig churn_;
 
   // Registry cell handles (stable addresses; see obs::Registry::counter).
-  // Crash/restart counters are coordinator-only; link drops are bumped from
-  // delivery code on worker shards, so they go through the simulator's
-  // shard-counter scratch (flushed at window barriers).
   std::uint64_t* c_crashes_;
   std::uint64_t* c_restarts_;
   std::uint64_t* c_link_drops_;
-  std::uint32_t c_link_drops_h_ = 0;
 };
 
 }  // namespace lo::sim

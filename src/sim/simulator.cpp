@@ -1,28 +1,21 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
 namespace lo::sim {
 
-// lolint:allow(thread-local-protocol) reason=per-worker execution context for the sharded engine; each thread only reads its own slot
-thread_local Simulator::WorkerCtx* Simulator::tls_ctx_ = nullptr;
-
-Simulator::Simulator(std::uint64_t seed) : seed_(seed), rng_(seed) {
+Simulator::Simulator(std::uint64_t seed)
+    : seed_(seed),
+      rng_(seed),
+      c_sender_down_(&obs_.registry.counter("sim.dropped_sender_down")),
+      c_receiver_down_(&obs_.registry.counter("sim.dropped_receiver_down")),
+      c_suppressed_(&obs_.registry.counter("sim.suppressed_callbacks")),
+      c_fault_filter_(&obs_.registry.counter("sim.dropped_by_fault_filter")) {
   latency_ = std::make_shared<ConstantLatency>(50 * kMillisecond);
   obs_.tracer.set_clock(&now_);
-  shards_.push_back(std::make_unique<Shard>());
-  ctxs_.push_back(std::make_unique<WorkerCtx>());
-  c_sender_down_h_ = register_shard_counter("sim.dropped_sender_down");
-  c_receiver_down_h_ = register_shard_counter("sim.dropped_receiver_down");
-  c_suppressed_h_ = register_shard_counter("sim.suppressed_callbacks");
-  c_fault_filter_h_ = register_shard_counter("sim.dropped_by_fault_filter");
 }
-
-Simulator::~Simulator() { stop_pool(); }
 
 NodeId Simulator::add_node(INode* node) {
   if (node == nullptr) throw std::invalid_argument("null node");
@@ -56,116 +49,21 @@ std::size_t Simulator::down_count() const noexcept {
   return n;
 }
 
-void Simulator::set_workers(unsigned n) {
-  if (n == 0) throw std::invalid_argument("workers must be >= 1");
-  if (n == workers_) return;
-  stop_pool();
-  // Re-bucket pending node-context events under the new shard map. Keys are
-  // untouched, so execution order (and therefore the run) is unchanged.
-  std::vector<Event> pending;
-  for (auto& sh : shards_) {
-    while (!sh->queue.empty()) {
-      pending.push_back(sh->queue.top());
-      sh->queue.pop();
-    }
-  }
-  workers_ = n;
-  shards_.clear();
-  ctxs_.clear();
-  for (unsigned s = 0; s < n; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-    ctxs_.push_back(std::make_unique<WorkerCtx>());
-  }
-  for (auto& ev : pending) shards_[shard_of(ev.ctx)]->queue.push(std::move(ev));
-}
-
-std::uint32_t Simulator::register_shard_counter(std::string_view name) {
-  // Coordinator-only: worker windows size their scratch from shard_cells_ at
-  // window entry, so the table must not grow mid-window (and cannot — the
-  // registrants all construct from coordinator context).
-  shard_cells_.push_back(&obs_.registry.counter(name));
-  return static_cast<std::uint32_t>(shard_cells_.size() - 1);
-}
-
-void Simulator::bump_shard_counter(std::uint32_t handle, std::uint64_t n) {
-  WorkerCtx* t = tls_ctx_;
-  if (t != nullptr && t->sim == this) {
-    t->counters[handle] += n;
-    return;
-  }
-  *shard_cells_[handle] += n;
-}
-
-void Simulator::post(std::function<void()> fn) {
-  WorkerCtx* t = tls_ctx_;
-  if (t != nullptr && t->sim == this) {
-    // The causal context is captured with the closure and restored around it
-    // at the barrier flush, so a post body observes the same thread cause it
-    // would have seen running inline under the serial engine.
-    t->posts.push_back(WorkerCtx::PostRec{t->now, t->exec_seq, t->post_idx++,
-                                          obs::Tracer::thread_cause(),
-                                          std::move(fn)});
-    return;
-  }
-  fn();
-}
-
-TimePoint Simulator::local_now() const noexcept {
-  const WorkerCtx* t = tls_ctx_;
-  if (t != nullptr && t->sim == this) return t->now;
-  return now_;
-}
-
-TimePoint Simulator::now() const noexcept { return local_now(); }
-
 std::uint64_t Simulator::alloc_seq() {
-  const WorkerCtx* t = tls_ctx_;
-  std::uint32_t ctx;
-  std::uint64_t floor;
-  if (t != nullptr && t->sim == this) {
-    ctx = t->exec_ctx;
-    floor = t->floor;
-  } else {
-    ctx = cur_exec_ctx_;
-    floor = cur_floor_;
-  }
-  std::uint64_t& ctr = (ctx == kCoordinatorCtx) ? coord_ctr_ : ctx_ctr_[ctx];
+  std::uint64_t& ctr = (cur_exec_ctx_ == kCoordinatorCtx)
+                           ? coord_ctr_
+                           : ctx_ctr_[cur_exec_ctx_];
   // The floor (executing event's counter + 1) makes same-timestamp children
   // sort after their parent — a property of the creating event alone, never
-  // of global history, so assigned keys are identical for every worker count.
-  const std::uint64_t use = std::max(ctr, floor);
+  // of global history.
+  const std::uint64_t use = std::max(ctr, cur_floor_);
   ctr = use + 1;
-  return (use << 24) | ctx;
+  return (use << 24) | cur_exec_ctx_;
 }
 
 void Simulator::push_event(Event ev) {
-  WorkerCtx* t = tls_ctx_;
-  if (t != nullptr && t->sim == this) {
-    if (ev.ctx == kCoordinatorCtx) {
-      throw std::logic_error("worker events cannot target the coordinator");
-    }
-    const unsigned s = shard_of(ev.ctx);
-    if (s == t->shard) {
-      shards_[s]->queue.push(std::move(ev));  // the worker owns its queue
-      return;
-    }
-    // Conservative-synchronization causality guard: a cross-shard event
-    // below the window bound could land in the target shard's past.
-    if (ev.at < window_bound_) {
-      throw std::logic_error(
-          "cross-shard event below the lookahead window (latency shaper "
-          "reduced a latency under min_latency_us?)");
-    }
-    Shard& dst = *shards_[s];
-    ShardLock lock(dst.inbox_mu);
-    dst.inbox.push_back(std::move(ev));
-    return;
-  }
-  if (ev.ctx == kCoordinatorCtx) {
-    coord_q_.push(std::move(ev));
-  } else {
-    shards_[shard_of(ev.ctx)]->queue.push(std::move(ev));
-  }
+  queue_.push_back(std::move(ev));
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
 }
 
 void Simulator::send(NodeId from, NodeId to, PayloadPtr msg) {
@@ -182,19 +80,13 @@ void Simulator::send(NodeId from, NodeId to, PayloadPtr msg) {
   };
   if (!node_up(from)) {
     // A down node's NIC is off: nothing leaves, nothing is charged.
-    bump_shard_counter(c_sender_down_h_);
+    ++*c_sender_down_;
     drop(obs::kDropSenderDown);
     return;
   }
-  {
-    WorkerCtx* t = tls_ctx_;
-    BandwidthAccountant& bw =
-        (t != nullptr && t->sim == this) ? t->bw : bandwidth_;
-    bw.record(from, msg->type_name(), msg->wire_size());
-  }
+  bandwidth_.record(from, msg->type_name(), msg->wire_size());
   // All send-time randomness draws from the sender's stream: the draw
-  // sequence then depends only on the sender's own send history, never on
-  // how shards interleave.
+  // sequence then depends only on the sender's own send history.
   util::Rng& srng = node_rngs_[from];
   if (drop_probability_ > 0.0 && srng.next_bool(drop_probability_)) {
     drop(obs::kDropRandom);
@@ -205,7 +97,7 @@ void Simulator::send(NodeId from, NodeId to, PayloadPtr msg) {
     return;
   }
   if (fault_filter_ && !fault_filter_(from, to)) {
-    bump_shard_counter(c_fault_filter_h_);
+    ++*c_fault_filter_;
     drop(obs::kDropFaultFilter);
     return;
   }
@@ -218,14 +110,14 @@ void Simulator::send(NodeId from, NodeId to, PayloadPtr msg) {
   }
   INode* dest = nodes_[to];
   Event ev;
-  ev.at = local_now() + lat;
+  ev.at = now_ + lat;
   ev.seq = alloc_seq();
-  ev.ctx = to;  // delivery executes on the receiver's shard
+  ev.ctx = to;  // delivery executes in the receiver's context
   ev.parent = obs::Tracer::thread_cause().span;  // sender dispatch = cause
   ev.fn = [this, dest, to, from, msg = std::move(msg)] {
     if (!node_up(to)) {
       // The receiver went down while the message was in flight.
-      bump_shard_counter(c_receiver_down_h_);
+      ++*c_receiver_down_;
       if (obs_.tracer.enabled()) {
         obs_.tracer.emit(obs::EventKind::kMsgDrop, from, to,
                          obs::kDropReceiverDown, msg->wire_size(),
@@ -245,12 +137,11 @@ void Simulator::send(NodeId from, NodeId to, PayloadPtr msg) {
 void Simulator::schedule(Duration delay, std::function<void()> fn) {
   if (delay < 0) delay = 0;
   Event ev;
-  ev.at = local_now() + delay;
+  ev.at = now_ + delay;
   ev.seq = alloc_seq();
   // Plain callbacks stay in the scheduling context: a node's follow-up work
-  // runs on its own shard; coordinator work stays on the coordinator.
-  const WorkerCtx* t = tls_ctx_;
-  ev.ctx = (t != nullptr && t->sim == this) ? t->exec_ctx : cur_exec_ctx_;
+  // runs as that node; coordinator work stays on the coordinator.
+  ev.ctx = cur_exec_ctx_;
   ev.parent = obs::Tracer::thread_cause().span;
   ev.fn = std::move(fn);
   push_event(std::move(ev));
@@ -266,13 +157,13 @@ void Simulator::schedule_for(NodeId owner, Duration delay,
   if (delay < 0) delay = 0;
   const std::uint64_t epoch = node_state_[owner].epoch;
   Event ev;
-  ev.at = local_now() + delay;
+  ev.at = now_ + delay;
   ev.seq = alloc_seq();
-  ev.ctx = owner;  // epoch-pinned timers execute on the owner's shard
+  ev.ctx = owner;  // epoch-pinned timers execute in the owner's context
   ev.parent = obs::Tracer::thread_cause().span;
   ev.fn = [this, owner, epoch, fn = std::move(fn)] {
     if (!node_up(owner) || node_epoch(owner) != epoch) {
-      bump_shard_counter(c_suppressed_h_);
+      ++*c_suppressed_;
       return;
     }
     fn();
@@ -287,60 +178,21 @@ void Simulator::start() {
   for (auto* n : nodes_) n->on_start();
 }
 
-std::size_t Simulator::pending_events() const {
-  std::size_t n = coord_q_.size();
-  for (const auto& sh : shards_) n += sh->queue.size();
-  return n;
-}
-
-void Simulator::dispatch_serial(Event& ev) {
+void Simulator::dispatch_next() {
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  Event ev = std::move(queue_.back());
+  queue_.pop_back();
   now_ = ev.at;
   cur_exec_ctx_ = ev.ctx;
   cur_floor_ = (ev.seq >> 24) + 1;
   // Causal context for everything this dispatch emits or schedules: the
-  // span id is derived from the event key alone, so it is identical across
-  // worker counts (span 0 is reserved for "no cause").
+  // span id is derived from the event key alone (span 0 is reserved for
+  // "no cause").
   obs::Tracer::set_thread_cause({ev.seq + 1, ev.parent});
   ev.fn();
   obs::Tracer::set_thread_cause({});
   cur_exec_ctx_ = kCoordinatorCtx;
   cur_floor_ = 0;
-}
-
-int Simulator::pick_next(TimePoint max_at) const {
-  int best = -2;
-  const Event* best_ev = nullptr;
-  if (!coord_q_.empty()) {
-    best = -1;
-    best_ev = &coord_q_.top();
-  }
-  for (unsigned s = 0; s < workers_; ++s) {
-    const auto& q = shards_[s]->queue;
-    if (q.empty()) continue;
-    const Event& e = q.top();
-    if (best_ev == nullptr || e.at < best_ev->at ||
-        (e.at == best_ev->at && e.seq < best_ev->seq)) {
-      best = static_cast<int>(s);
-      best_ev = &e;
-    }
-  }
-  if (best_ev == nullptr || best_ev->at > max_at) return -2;
-  return best;
-}
-
-std::size_t Simulator::run_serial(TimePoint max_at) {
-  std::size_t processed = 0;
-  for (;;) {
-    const int src = pick_next(max_at);
-    if (src == -2) break;
-    EventQueue& q =
-        (src < 0) ? coord_q_ : shards_[static_cast<unsigned>(src)]->queue;
-    Event ev = q.top();
-    q.pop();
-    dispatch_serial(ev);
-    ++processed;
-  }
-  return processed;
 }
 
 std::size_t Simulator::run_until(TimePoint horizon) {
@@ -349,55 +201,9 @@ std::size_t Simulator::run_until(TimePoint horizon) {
   // moves backwards.
   if (horizon < now_) return 0;
   std::size_t processed = 0;
-  const Duration lookahead = latency_ ? latency_->min_latency_us() : 0;
-  if (workers_ <= 1 || lookahead <= 0) {
-    processed = run_serial(horizon);
-  } else {
-    for (;;) {
-      const Event* kc = coord_q_.empty() ? nullptr : &coord_q_.top();
-      const Event* ks = nullptr;
-      for (const auto& sh : shards_) {
-        if (sh->queue.empty()) continue;
-        const Event& e = sh->queue.top();
-        if (ks == nullptr || e.at < ks->at ||
-            (e.at == ks->at && e.seq < ks->seq)) {
-          ks = &e;
-        }
-      }
-      const Event* kmin = kc;
-      if (ks != nullptr && (kmin == nullptr || ks->at < kmin->at ||
-                            (ks->at == kmin->at && ks->seq < kmin->seq))) {
-        kmin = ks;
-      }
-      if (kmin == nullptr || kmin->at > horizon) break;
-      if (kc != nullptr && kc->at == kmin->at) {
-        // A coordinator event shares the earliest timestamp. Coordinator
-        // code may touch global state (lifecycle, filters, topology), so
-        // drain this exact timestamp in strict key order on one thread;
-        // anything it schedules lands at >= this time and is picked up by
-        // this same call or the next iteration.
-        processed += run_serial(kmin->at);
-        continue;
-      }
-      // ks is the global minimum and strictly precedes any coordinator
-      // work: open a lookahead window [ks->at, bound).
-      TimePoint bound = ks->at + lookahead;
-      if (kc != nullptr) bound = std::min(bound, kc->at);
-      if (horizon < std::numeric_limits<TimePoint>::max()) {
-        bound = std::min(bound, horizon + 1);
-      }
-      unsigned active = 0;
-      for (const auto& sh : shards_) {
-        if (!sh->queue.empty() && sh->queue.top().at < bound) ++active;
-      }
-      if (active <= 1) {
-        // One busy shard: the window is a serial run anyway, so skip the
-        // barrier machinery (identical output by construction).
-        processed += run_serial(bound - 1);
-      } else {
-        processed += run_window_parallel(bound);
-      }
-    }
+  while (!queue_.empty() && queue_.front().at <= horizon) {
+    dispatch_next();
+    ++processed;
   }
   if (now_ < horizon) now_ = horizon;
   return processed;
@@ -405,224 +211,9 @@ std::size_t Simulator::run_until(TimePoint horizon) {
 
 bool Simulator::step() {
   start();
-  const int src = pick_next(std::numeric_limits<TimePoint>::max());
-  if (src == -2) return false;
-  EventQueue& q =
-      (src < 0) ? coord_q_ : shards_[static_cast<unsigned>(src)]->queue;
-  Event ev = q.top();
-  q.pop();
-  dispatch_serial(ev);
+  if (queue_.empty()) return false;
+  dispatch_next();
   return true;
-}
-
-// --- parallel window machinery ---
-
-void Simulator::WorkerCtx::sink_event(obs::EventKind kind, std::uint32_t node,
-                                      std::uint32_t peer, std::uint64_t a,
-                                      std::uint64_t b, std::uint16_t name,
-                                      std::uint32_t aux) {
-  obs::TraceEvent ev;
-  ev.at = now;
-  ev.kind = static_cast<std::uint16_t>(kind);
-  ev.name = name;
-  ev.node = node;
-  ev.peer = peer;
-  ev.aux = aux;
-  ev.a = a;
-  ev.b = b;
-  const obs::Tracer::Cause cause = obs::Tracer::thread_cause();
-  ev.span = cause.span;
-  ev.parent = cause.parent;
-  trace.push_back(TraceRec{now, exec_seq, trace_idx++, ev});
-}
-
-std::uint16_t Simulator::WorkerCtx::sink_intern(std::string_view s) {
-  if (s.empty()) return 0;
-  if (auto it = intern.find(s); it != intern.end()) return it->second;
-  if (names.size() > 0xFFFF) throw std::length_error("intern table full");
-  const auto id = static_cast<std::uint16_t>(names.size());
-  names.emplace_back(s);
-  intern.emplace(std::string(s), id);
-  return id;
-}
-
-void Simulator::ensure_pool() {
-  if (!threads_.empty() || workers_ <= 1) return;
-  pool_stop_ = false;
-  // A pool restarted mid-run (set_workers) must wait for the NEXT window:
-  // starting from generation 0 would make a fresh worker act on the
-  // window_gen_ of a window it never joined.
-  const std::uint64_t gen = window_gen_;
-  threads_.reserve(workers_ - 1);
-  for (unsigned s = 1; s < workers_; ++s) {
-    threads_.emplace_back([this, s, gen] { worker_loop(s, gen); });
-  }
-}
-
-void Simulator::stop_pool() {
-  if (threads_.empty()) return;
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    pool_stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& t : threads_) t.join();
-  threads_.clear();
-}
-
-void Simulator::worker_loop(unsigned s, std::uint64_t seen) {
-  for (;;) {
-    bool run = false;
-    {
-      std::unique_lock<std::mutex> lock(pool_mu_);
-      work_cv_.wait(lock, [&] { return pool_stop_ || window_gen_ != seen; });
-      if (pool_stop_) return;
-      seen = window_gen_;
-      run = participate_[s] != 0;
-    }
-    if (run) {
-      run_shard_window(s);
-      std::lock_guard<std::mutex> lock(pool_mu_);
-      if (--running_ == 0) done_cv_.notify_one();
-    }
-  }
-}
-
-void Simulator::run_shard_window(unsigned s) {
-  WorkerCtx& c = *ctxs_[s];
-  tls_ctx_ = &c;
-  if (obs_.tracer.enabled()) obs::Tracer::set_thread_sink(&c);
-  EventQueue& q = shards_[s]->queue;
-  try {
-    while (!q.empty() && q.top().at < window_bound_) {
-      Event ev = q.top();
-      q.pop();
-      c.now = ev.at;
-      c.exec_seq = ev.seq;
-      c.exec_ctx = ev.ctx;
-      c.floor = (ev.seq >> 24) + 1;
-      // Same causal-context rule as dispatch_serial: span = key + 1, so the
-      // stamped spans never depend on which thread ran the dispatch.
-      obs::Tracer::set_thread_cause({ev.seq + 1, ev.parent});
-      ev.fn();
-      ++c.events;
-    }
-  } catch (...) {
-    c.error = std::current_exception();
-  }
-  obs::Tracer::set_thread_cause({});
-  obs::Tracer::set_thread_sink(nullptr);
-  tls_ctx_ = nullptr;
-}
-
-std::size_t Simulator::run_window_parallel(TimePoint bound) {
-  std::vector<char> participate(workers_, 0);
-  unsigned remote = 0;
-  for (unsigned s = 0; s < workers_; ++s) {
-    Shard& sh = *shards_[s];
-    if (sh.queue.empty() || sh.queue.top().at >= bound) continue;
-    participate[s] = 1;
-    if (s != 0) ++remote;
-    WorkerCtx& c = *ctxs_[s];
-    c.sim = this;
-    c.shard = s;
-    c.events = 0;
-    c.error = nullptr;
-    c.counters.assign(shard_cells_.size(), 0);
-    c.bw.ensure_nodes(nodes_.size());
-  }
-  ensure_pool();
-  {
-    // The window's flags are published together with the generation bump,
-    // under the pool mutex: a worker still waking from the previous window
-    // reads that window's flags, never this one's under the old generation.
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    window_bound_ = bound;
-    participate_.swap(participate);
-    running_ = remote;
-    ++window_gen_;
-  }
-  work_cv_.notify_all();
-  if (participate_[0] != 0) run_shard_window(0);  // shard 0 runs here
-  {
-    std::unique_lock<std::mutex> lock(pool_mu_);
-    done_cv_.wait(lock, [this] { return running_ == 0; });
-  }
-  return flush_window();
-}
-
-std::size_t Simulator::flush_window() {
-  std::size_t processed = 0;
-  std::exception_ptr err;
-  // Fold cross-shard inboxes back into the target queues. Keys are globally
-  // unique, so heap insertion order is irrelevant.
-  for (auto& sh : shards_) {
-    ShardLock lock(sh->inbox_mu);
-    for (auto& ev : sh->inbox) sh->queue.push(std::move(ev));
-    sh->inbox.clear();
-  }
-  struct TraceTag {
-    const WorkerCtx::TraceRec* rec;
-    WorkerCtx* ctx;
-  };
-  std::vector<TraceTag> traces;
-  std::vector<WorkerCtx::PostRec*> posts;
-  for (unsigned s = 0; s < workers_; ++s) {
-    if (participate_[s] == 0) continue;
-    WorkerCtx& c = *ctxs_[s];
-    processed += c.events;
-    if (!err && c.error) err = c.error;
-    for (std::size_t i = 0; i < c.counters.size(); ++i) {
-      *shard_cells_[i] += c.counters[i];
-    }
-    bandwidth_.merge(c.bw);
-    c.bw.reset(0);
-    traces.reserve(traces.size() + c.trace.size());
-    for (const auto& r : c.trace) traces.push_back(TraceTag{&r, &c});
-    posts.reserve(posts.size() + c.posts.size());
-    for (auto& p : c.posts) posts.push_back(&p);
-  }
-  // Merge trace events in global key order, remapping shard-local intern
-  // ids through the canonical table — first use assigns the global id, so
-  // the merged stream is byte-identical to a serial run's.
-  std::sort(traces.begin(), traces.end(),
-            [](const TraceTag& a, const TraceTag& b) {
-              return std::tie(a.rec->at, a.rec->seq, a.rec->idx) <
-                     std::tie(b.rec->at, b.rec->seq, b.rec->idx);
-            });
-  for (const TraceTag& t : traces) {
-    obs::TraceEvent ev = t.rec->ev;
-    if (ev.name != 0) {
-      ev.name = obs_.tracer.intern(t.ctx->names[ev.name]);
-    }
-    obs_.tracer.append(ev);
-  }
-  // Run buffered observer posts in the same global order, on this
-  // (coordinator) thread — exactly where/when the serial engine ran them.
-  std::sort(posts.begin(), posts.end(),
-            [](const WorkerCtx::PostRec* a, const WorkerCtx::PostRec* b) {
-              return std::tie(a->at, a->seq, a->idx) <
-                     std::tie(b->at, b->seq, b->idx);
-            });
-  for (WorkerCtx::PostRec* p : posts) {
-    // Re-establish the causal context the post body would have observed
-    // running inline, so serial and parallel runs stay byte-identical even
-    // when an observer emits.
-    obs::Tracer::CauseScope cause(p->cause);
-    p->fn();
-  }
-  for (unsigned s = 0; s < workers_; ++s) {
-    if (participate_[s] == 0) continue;
-    WorkerCtx& c = *ctxs_[s];
-    c.trace.clear();
-    c.trace_idx = 0;
-    c.names.resize(1);
-    c.intern.clear();
-    c.posts.clear();
-    c.post_idx = 0;
-  }
-  if (err) std::rethrow_exception(err);
-  return processed;
 }
 
 }  // namespace lo::sim

@@ -40,8 +40,8 @@ class Rng {
   // folded through two SplitMix64 rounds before the xoshiro state expansion,
   // so stream k and stream k+1 share no prefix structure. This is how the
   // simulator gives every node its own generator — draws on one stream are
-  // independent of how many draws other streams made, which is what lets
-  // sharded workers draw without any scheduling-order coupling.
+  // independent of how many draws other streams made, so a node's draws
+  // depend only on its own history, never on how nodes' events interleave.
   static Rng for_stream(std::uint64_t seed, std::uint64_t stream) noexcept {
     std::uint64_t sm = stream;
     std::uint64_t mixed = seed ^ splitmix64(sm);

@@ -1,18 +1,18 @@
 // Clang thread-safety (capability) annotation shim.
 //
-// The parallel-DES roadmap item shards nodes across worker threads, and the
-// accountability guarantees rest on knowing — statically — what state is
-// shared, which lock guards it, and where protocol handlers mutate it. These
-// macros attach Clang's capability analysis to that state so lock discipline
-// is a compile error under `-Wthread-safety -Werror` (the CI lint job builds
+// Library types such as the metrics registry and the tracer may be shared
+// across threads by their callers (several simulators in one process, or a
+// reader thread beside a running simulator), so their shared state is
+// annotated with the lock that guards it. These macros attach Clang's
+// capability analysis to that state so lock discipline is a compile error under `-Wthread-safety -Werror` (the CI lint job builds
 // the tree with clang++ exactly for this; see DESIGN.md §4d).
 //
 // Off Clang (GCC builds, which have no analysis) every macro expands to
 // nothing, so the annotations are zero-cost documentation that the next
 // toolchain run re-verifies.
 //
-// Usage sketch (the obs::Mutex / sim::ShardMutex wrappers carry the
-// capability; see obs/sync.hpp and sim/shard_mutex.hpp):
+// Usage sketch (the obs::Mutex wrapper carries the capability; see
+// obs/sync.hpp):
 //
 //   class Registry {
 //     mutable obs::Mutex mu_;
@@ -57,9 +57,6 @@
 #define LO_TRY_ACQUIRE(...) \
   LO_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 
-// Declares the value a function returns to be the named capability (lock
-// accessors) — reserved for the parallel-DES shard table.
-#define LO_RETURN_CAPABILITY(x) LO_THREAD_ANNOTATION(lock_returned(x))
 
 // Escape hatch for functions the analysis cannot model (e.g. handing out a
 // stable cell address for single-writer hot paths). Every use carries a

@@ -486,9 +486,6 @@ TEST(Chaos, MembershipScalesToThousandNodes) {
   auto cfg = membership_cfg(1000, 107);
   cfg.node.membership.protocol_period = sim::kSecond;
   cfg.node.membership.ping_timeout = 300 * sim::kMillisecond;
-  // Heavy config: ride the parallel engine (same-seed runs are byte-identical
-  // for every worker count, so this changes wall-clock only).
-  cfg.workers = 4;
   harness::LoNetwork net(cfg);
   net.run_for(3.0);
   net.crash_node(123);

@@ -1,5 +1,5 @@
-// Concurrency smoke tests for the pieces that must already be thread-safe
-// ahead of the parallel simulator (DESIGN.md §4d): the lazily-built Field
+// Concurrency smoke tests for the library pieces that callers may share
+// across threads (DESIGN.md §4d): the lazily-built Field
 // registry, Sketch::decode through its per-thread Decoder workspace, and the
 // Registry's documented aggregation path (private per-thread registries
 // merged into a shared one, serialized by its mutex).

@@ -2,6 +2,9 @@
 // detection-time computation, coverage helper, workload control.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "baselines/flood.hpp"
 #include "harness/lo_network.hpp"
 #include "test_net_util.hpp"
 
@@ -157,6 +160,26 @@ TEST(Harness, SeedsChangeOutcomes) {
     return net.sim().bandwidth().total_bytes();
   };
   EXPECT_NE(run(1), run(2));
+}
+
+TEST(Harness, WorkersOtherThanOneAreRejected) {
+  // The simulator is one event loop; NetConfig::workers survives only as a
+  // field that must say so. Both the LØ network and a baseline network
+  // refuse anything else up front, before any node is built.
+  baselines::FloodNode::Config flood;
+  flood.prevalidation.sig_mode = kMode;
+  for (unsigned w : {0u, 2u, 4u}) {
+    auto cfg = net_cfg(4, 1);
+    cfg.workers = w;
+    EXPECT_THROW(LoNetwork{cfg}, std::invalid_argument) << "workers=" << w;
+    EXPECT_THROW((Network<baselines::FloodNode>{cfg, flood}),
+                 std::invalid_argument)
+        << "workers=" << w;
+  }
+  auto cfg = net_cfg(4, 1);
+  cfg.workers = 1;
+  EXPECT_NO_THROW(LoNetwork{cfg});
+  EXPECT_NO_THROW((Network<baselines::FloodNode>{cfg, flood}));
 }
 
 }  // namespace

@@ -46,7 +46,7 @@ struct FieldSymbol {
   bool is_const = false;      // const / constexpr anywhere in the decl-specifiers
   bool is_static = false;     // static data member
   bool is_mutable_kw = false; // declared C++ `mutable`
-  bool is_mutex = false;      // type mentions Mutex/ShardMutex/mutex/shared_mutex
+  bool is_mutex = false;      // type mentions Mutex/mutex/shared_mutex
   bool is_atomic = false;     // type mentions atomic
   bool guarded = false;       // LO_GUARDED_BY / LO_PT_GUARDED_BY present
 };
